@@ -1,9 +1,11 @@
 """Exact shortest-vector machinery.
 
-Gram matrices are exact (integers or rationals).  Enumeration is
-Fincke-Pohst: an exact LLL reduction of the Gram matrix, a rational
-Cholesky decomposition, then depth-first interval enumeration with the
-bound shrinking as shorter vectors appear.  No floating point anywhere.
+Gram matrices are exact; a rational one is scaled by the lcm of its
+denominators, the only Fraction work.  The integral LLL on the Gram matrix
+(Cohen, GTM 138, Alg. 2.6.7) yields integer leading minors d_i and scaled
+Gram-Schmidt coefficients lam_ij, which drive Fincke-Pohst enumeration in
+scaled integers (Math. Comp. 44, 1985), depth first, the bound shrinking
+as shorter vectors appear.  No floating point anywhere.
 """
 
 import itertools
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+
+_NOT_PD = "Gram matrix is not symmetric positive definite"
 
 
 @dataclass(frozen=True)
@@ -22,7 +26,7 @@ class GramForm:
 
     def __post_init__(self):
         if not linalg.is_positive_definite(self.matrix):
-            raise ValueError("Gram matrix is not symmetric positive definite")
+            raise ValueError(_NOT_PD)
 
     @property
     def n(self):
@@ -63,83 +67,95 @@ def _matrix_of(gram):
     return [list(row) for row in gram]
 
 
-def lll_reduce_gram(gram, delta=Fraction(3, 4)):
-    """LLL on a quadratic form.
+def _integral(gram):
+    """(D * gram, D) for the lcm D of the denominators of the exact entries."""
+    rows = [[Fraction(x) for x in row] for row in _matrix_of(gram)]
+    scale = math.lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * scale // x.denominator for x in row]
+            for row in rows], scale
 
-    Returns (g_reduced, u) with g_reduced = u^T * gram * u; the columns of
-    the integer matrix u express the reduced basis in the input basis.
+
+def lll_reduce_gram(gram):
+    """Integral LLL with delta = 3/4 on an integer quadratic form.
+
+    Cohen, GTM 138, Alg. 2.6.7, run on the Gram matrix.  Returns
+    (g_reduced, u, d, lam) with g_reduced = u^T * gram * u; the columns of
+    the unimodular u express the reduced basis in the input basis, d[i] is
+    the leading i x i minor of g_reduced (d[0] = 1) and lam[k][j] =
+    d[j+1] * mu_kj for j < k are the scaled Gram-Schmidt coefficients, all
+    integers.  Raises ValueError unless gram is square, symmetric and
+    positive definite; d[i] > 0 at every step certifies the last.
     """
     g = _matrix_of(gram)
     n = len(g)
+    if any(len(row) != n for row in g) or any(
+            g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        raise ValueError(_NOT_PD)
     u = linalg.identity(n)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
 
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [Fraction(0)] * n
-        for i in range(n):
-            bstar[i] = Fraction(g[i][i])
-            for j in range(i):
-                acc = Fraction(g[i][j])
-                for k in range(j):
-                    acc -= mu[j][k] * mu[i][k] * bstar[k]
-                mu[i][j] = acc / bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        return mu, bstar
+    def orthogonalize(k):
+        for j in range(k + 1):
+            t = g[k][j]
+            for i in range(j):
+                t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = t
+        d[k + 1] = t
+        if t <= 0:
+            raise ValueError(_NOT_PD)
 
-    def addmul(k, j, r):
-        # b_k <- b_k + r*b_j
+    def reduce(k, j):
+        # b_k <- b_k - q*b_j with q the integer nearest mu_kj
+        if 2 * abs(lam[k][j]) <= d[j + 1]:
+            return
+        q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
         for t in range(n):
-            u[t][k] += r * u[t][j]
-        gkk = g[k][k] + 2 * r * g[k][j] + r * r * g[j][j]
+            u[t][k] -= q * u[t][j]
+        gkk = g[k][k] - 2 * q * g[k][j] + q * q * g[j][j]
         for t in range(n):
             if t != k:
-                g[k][t] += r * g[j][t]
+                g[k][t] -= q * g[j][t]
                 g[t][k] = g[k][t]
         g[k][k] = gkk
+        lam[k][j] -= q * d[j + 1]
+        for i in range(j):
+            lam[k][i] -= q * lam[j][i]
 
-    def swap(k, j):
+    def swap(k, kmax):
         for t in range(n):
-            u[t][k], u[t][j] = u[t][j], u[t][k]
-        g[k], g[j] = g[j], g[k]
+            u[t][k], u[t][k - 1] = u[t][k - 1], u[t][k]
+        g[k], g[k - 1] = g[k - 1], g[k]
         for t in range(n):
-            g[t][k], g[t][j] = g[t][j], g[t][k]
+            g[t][k], g[t][k - 1] = g[t][k - 1], g[t][k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        r = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + r * r) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - r * t) // d[k]
+            lam[i][k - 1] = (b * t + r * lam[i][k]) // d[k + 1]
+        d[k] = b
 
-    k = 1
+    if n:
+        orthogonalize(0)
+    k, kmax = 1, 0
     while k < n:
-        mu, bstar = gso()
-        r = round(mu[k][k - 1])
-        if r:
-            addmul(k, k - 1, -r)
-            mu, bstar = gso()
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
-            for j in range(k - 2, -1, -1):
-                r = round(mu[k][j])
-                if r:
-                    addmul(k, j, -r)
-                    mu, _ = gso()
-            k += 1
-        else:
-            swap(k, k - 1)
+        if k > kmax:
+            kmax = k
+            orthogonalize(k)
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
             k = max(k - 1, 1)
-    return tuple(tuple(row) for row in g), tuple(tuple(row) for row in u)
-
-
-def _cholesky(g):
-    """Q(x) = sum_i q[i]*(x_i + sum_{j>i} mu[i][j]*x_j)^2, exact."""
-    n = len(g)
-    a = [[Fraction(g[i][j]) for j in range(n)] for i in range(n)]
-    q = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i] = a[i][i]
-        if q[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            mu[i][j] = a[i][j] / q[i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] -= q[i] * mu[i][r] * mu[i][c]
-    return q, mu
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return (tuple(tuple(row) for row in g), tuple(tuple(row) for row in u),
+            tuple(d), tuple(tuple(row[:i]) for i, row in enumerate(lam)))
 
 
 def _floor_sqrt(x):
@@ -147,21 +163,6 @@ def _floor_sqrt(x):
     if isinstance(x, int):
         return math.isqrt(x)
     return math.isqrt(x.numerator * x.denominator) // x.denominator
-
-
-def _interval(c, rad2):
-    """Integer range [lo, hi] of x with (x + c)^2 <= rad2 (c, rad2 exact)."""
-    if rad2 < 0:
-        return 1, 0
-    s = _floor_sqrt(rad2)
-    base = math.floor(-c)
-    hi = base + s + 2
-    while not (hi + c <= 0 or (hi + c) ** 2 <= rad2):
-        hi -= 1
-    lo = base - s - 2
-    while not (lo + c >= 0 or (lo + c) ** 2 <= rad2):
-        lo += 1
-    return lo, hi
 
 
 def _sign_normalize(v):
@@ -182,49 +183,48 @@ def _as_min(value):
 def shortest_vectors(gram) -> ShortVectorSet:
     """Exhaustive set of nonzero minimizers of v^T G v.
 
-    LLL-reduce, Cholesky, then depth-first enumeration from the last
-    coordinate; the search bound starts at the best reduced-basis diagonal
-    entry and shrinks whenever a shorter vector appears.
+    Fincke-Pohst in scaled integers on the integral LLL reduction of
+    D * G (D the lcm of the denominators of G): with M = prod d[i]*d[i+1],
+    M * Q(x) = sum_i w[i] * (d[i+1]*x_i + sum_{j>i} lam[j][i]*x_j)^2 where
+    w[i] = M / (d[i]*d[i+1]).  Depth-first enumeration from the last
+    coordinate; the bound starts at the least reduced diagonal entry and
+    shrinks whenever a shorter vector appears.
     """
-    g = _matrix_of(gram)
-    n = len(g)
-    if not linalg.is_positive_definite(g):
-        raise ValueError("Gram matrix is not symmetric positive definite")
-    gred, u = lll_reduce_gram(g)
-    q, mu = _cholesky(gred)
-    state = {"best": min(gred[i][i] for i in range(n)), "found": []}
+    g, scale = _integral(gram)
+    gred, u, d, lam = lll_reduce_gram(g)
+    n = len(gred)
+    m = math.prod(d[i] * d[i + 1] for i in range(n))
+    w = [m // (d[i] * d[i + 1]) for i in range(n)]
+    best = m * min(gred[i][i] for i in range(n))
+    found = []
     x = [0] * n
 
     def descend(level, used):
-        murow = mu[level]
-        c = Fraction(0)
-        for j in range(level + 1, n):
-            if x[j]:
-                c += murow[j] * x[j]
-        lo, hi = _interval(c, (state["best"] - used) / q[level])
-        for xi in range(lo, hi + 1):
-            d = xi + c
-            tot = used + q[level] * d * d
-            if tot > state["best"]:
+        nonlocal best, found
+        di, wi = d[level + 1], w[level]
+        c = sum(lam[j][level] * x[j] for j in range(level + 1, n))
+        s = math.isqrt((best - used) // wi)
+        for xi in range(-((s + c) // di), (s - c) // di + 1):
+            t = di * xi + c
+            tot = used + wi * t * t
+            if tot > best:
                 continue
             x[level] = xi
-            if level == 0:
-                if any(x):
-                    if tot < state["best"]:
-                        state["best"] = tot
-                        state["found"] = [tuple(x)]
-                    else:
-                        state["found"].append(tuple(x))
-            else:
+            if level:
                 descend(level - 1, tot)
+            elif any(x):
+                if tot < best:
+                    best, found = tot, [tuple(x)]
+                else:
+                    found.append(tuple(x))
         x[level] = 0
 
-    descend(n - 1, Fraction(0))
+    descend(n - 1, 0)
     vecs = set()
-    for v in state["found"]:
-        w = tuple(sum(u[i][j] * v[j] for j in range(n)) for i in range(n))
-        vecs.add(_sign_normalize(w))
-    return ShortVectorSet(_as_min(Fraction(state["best"])), tuple(sorted(vecs)))
+    for v in found:
+        b = tuple(sum(u[i][j] * v[j] for j in range(n)) for i in range(n))
+        vecs.add(_sign_normalize(b))
+    return ShortVectorSet(_as_min(Fraction(best // m, scale)), tuple(sorted(vecs)))
 
 
 def naive_shortest(gram, box_radius=None) -> ShortVectorSet:

@@ -42,6 +42,12 @@ def test_rejects_non_positive_definite():
         lr.shortest_vectors([[1, 2], [2, 1]])
     with pytest.raises(ValueError):
         lr.GramForm(((0, 0), (0, 1)))
+    # the integral LLL is the only check: singular, negative, non-symmetric,
+    # ragged, and indefinite with a positive diagonal
+    for g in ([[1, 1], [1, 1]], [[-1]], [[2, 1], [0, 2]], [[2, 1], [1]],
+              [[2, 1, 0], [1, 2], [0, 0, 2]], [[1, 0, 2], [0, 1, 0], [2, 0, 1]]):
+        with pytest.raises(ValueError):
+            lr.shortest_vectors(g)
 
 
 def test_gram_form_accepts_rationals():
@@ -61,6 +67,79 @@ def test_agreement_with_naive(rng):
             assert s1.minimum == s2.minimum
             assert s1.vectors == s2.vectors
             done += 1
+
+
+def rational_pd_gram(rng, n):
+    while True:
+        den = rng.randint(2, 6)
+        g = [[Fraction(x, den) for x in row] for row in pd_gram(rng, n)]
+        for i in range(n):
+            for j in range(i):
+                g[i][j] = g[j][i] = g[i][j] + Fraction(rng.randint(-2, 2), 2 * den)
+        if linalg.is_positive_definite(g) and boxable(g):
+            return g
+
+
+def test_agreement_with_naive_small_and_rational(rng):
+    examples = [
+        ([[3, Fraction(1, 2)], [Fraction(1, 2), 2]], 2, ((0, 1),)),
+        ([[Fraction(3, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(5, 4)]],
+         Fraction(5, 4), ((0, 1),)),
+        ([[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]],
+         Fraction(2, 3), ((0, 1), (1, -1), (1, 0))),
+        # floats convert exactly: no entry is truncated
+        ([[0.1]], Fraction(0.1), ((1,),)),
+        ([[0.75, 0.375], [0.375, 0.75]], Fraction(3, 4), ((0, 1), (1, -1), (1, 0))),
+    ]
+    cases = [g for g, _, _ in examples]
+    for n in (1, 2):
+        cases += [g for g in (pd_gram(rng, n) for _ in range(40)) if boxable(g)]
+    for n in (1, 2, 3, 4):
+        cases += [rational_pd_gram(rng, n) for _ in range(10)]
+    for g in cases:
+        s1 = lr.shortest_vectors(g)
+        s2 = lr.naive_shortest(g)
+        assert s1.minimum == s2.minimum
+        assert s1.vectors == s2.vectors
+        for v in s1.vectors:
+            assert sum(g[i][j] * v[i] * v[j] for i in range(len(g))
+                       for j in range(len(g))) == s1.minimum
+    for g, minimum, vectors in examples:
+        s = lr.shortest_vectors(g)
+        assert s.minimum == minimum and s.vectors == vectors
+    assert type(lr.shortest_vectors([[Fraction(4, 2)]]).minimum) is int
+
+
+def assert_lll_invariants(g):
+    n = len(g)
+    gred, u, d, lam = lr.lll_reduce_gram(g)
+    ut = [list(r) for r in zip(*u)]
+    assert [list(r) for r in gred] == linalg.mat_mul(ut, linalg.mat_mul(g, u))
+    assert abs(linalg.det_bareiss(u)) == 1
+    for i in range(n + 1):
+        assert d[i] == linalg.det_bareiss([row[:i] for row in gred[:i]]) > 0
+    for k in range(n):
+        for j in range(k):
+            # lam[k][j] = d[j+1] * mu_kj is the minor on rows 0..j-1, k
+            rows = list(range(j)) + [k]
+            assert lam[k][j] == linalg.det_bareiss([gred[r][:j + 1] for r in rows])
+            assert 2 * abs(lam[k][j]) <= d[j + 1]
+        if k:
+            # Lovasz with delta = 3/4
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+
+
+def test_lll_invariants(rng, cubic7, cubic63, cubic91, quartic_even, quartic_imag):
+    for _ in range(60):
+        assert_lll_invariants(pd_gram(rng, rng.randint(1, 4), entry_cap=6))
+    primes = [P for f, p in ((cubic7, 7), (cubic7, 13), (cubic63, 19), (cubic91, 43))
+              for P, _ in il.decompose_prime_cubic(f, p).factors]
+    primes += [P for f, p in ((quartic_even, 5), (quartic_even, 29), (quartic_imag, 11),
+                              (quartic_imag, 2))
+               for P, _ in il.decompose_prime_quartic(f, p).factors]
+    assert len(primes) >= 12
+    for P in primes:
+        assert_lll_invariants(lr._integral(lr.gram_of_ideal(P))[0])
 
 
 def test_minimum_invariant_under_unimodular_change(rng):
