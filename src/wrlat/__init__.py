@@ -1,8 +1,8 @@
 """Exact-arithmetic well-roundedness certification for ideal lattices of
 cyclic cubic and cyclic quartic number fields."""
 
-from .cubic_field import CubicField, new_cubic
-from .quartic_field import QuarticField, new_quartic
+from .cubic_field import CubicField
+from .quartic_field import QuarticField
 from .ideal_lattice import (
     IdealLattice,
     PrimeDecomposition,

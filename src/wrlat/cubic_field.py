@@ -19,11 +19,11 @@ both conductor classes.
 from fractions import Fraction
 
 from . import linalg
-from .lattice_reduce import GramForm
 from .numtheory import conductor_params, conductor_violation
+from .order import IntegralOrder
 
 
-class CubicField:
+class CubicField(IntegralOrder):
     def __init__(self, m: int):
         reason = conductor_violation(m)
         if reason is not None:
@@ -41,7 +41,7 @@ class CubicField:
             c0 = Fraction(-(m * (self.a - 3) + 1), 27)
         assert c1.denominator == 1 and c0.denominator == 1
         self.df = (int(c0), int(c1), int(c2))
-        self.one = (Fraction(1), Fraction(0), Fraction(0))
+        self.one = self.from_int(1)
         self.alpha = (Fraction(0), Fraction(1), Fraction(0))
         # traces of the power basis: Tr(1), Tr(alpha), Tr(alpha^2)
         self._trace_vec = (3, -self.df[2], self.df[2] ** 2 - 2 * self.df[1])
@@ -49,24 +49,9 @@ class CubicField:
         self._sigma_alpha = self.sigma_poly
         self._sigma_alpha_sq = self.mul(self.sigma_poly, self.sigma_poly)
         assert self.sigma(self.sigma(self.sigma(self.alpha))) == self.alpha
-        self._build_integral_tables()
+        self._build_integral_tables((self.one, self.alpha, self._sigma_alpha))
 
-    # -- basic arithmetic over the power basis ------------------------------
-
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1], x[2] + y[2])
-
-    def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
-
-    def neg(self, x):
-        return (-x[0], -x[1], -x[2])
-
-    def scale(self, x, k):
-        return (k * x[0], k * x[1], k * x[2])
-
-    def from_int(self, k):
-        return (Fraction(k), Fraction(0), Fraction(0))
+    # -- arithmetic over the power basis ------------------------------------
 
     def mul(self, x, y):
         c0, c1, c2 = self.df
@@ -94,14 +79,6 @@ class CubicField:
         sol = linalg.solve_fraction(self.mul_matrix(x), [1, 0, 0])
         return tuple(sol)
 
-    def eval_df(self, x):
-        c0, c1, c2 = self.df
-        x2 = self.mul(x, x)
-        x3 = self.mul(x2, x)
-        out = self.add(x3, self.scale(x2, c2))
-        out = self.add(out, self.scale(x, c1))
-        return self.add(out, self.from_int(c0))
-
     # -- Galois action -------------------------------------------------------
 
     def _find_sigma_poly(self):
@@ -128,92 +105,15 @@ class CubicField:
         out = self.add(out, self.scale(self._sigma_alpha_sq, x[2]))
         return out
 
-    def conjugates(self, x):
-        s = self.sigma(x)
-        return [x, s, self.sigma(s)]
-
-    # -- trace, norm, bilinear form ------------------------------------------
+    # -- trace and bilinear form -----------------------------------------------
 
     def trace(self, x) -> Fraction:
         t = self._trace_vec
         return x[0] * t[0] + x[1] * t[1] + x[2] * t[2]
 
-    def norm(self, x) -> Fraction:
-        return linalg.det_fraction(self.mul_matrix(x))
-
     def bilinear(self, x, y) -> Fraction:
         """Scalar product of the embedded lattice: Tr(x*y), F totally real."""
         return self.trace(self.mul(x, y))
-
-    def length_sq(self, x) -> Fraction:
-        return self.bilinear(x, x)
-
-    def gram_form(self, basis) -> GramForm:
-        if len(basis) != 3 or linalg.det_fraction([list(e) for e in basis]) == 0:
-            raise ValueError("basis must consist of 3 independent elements")
-        return GramForm(tuple(tuple(self.bilinear(x, y) for y in basis) for x in basis))
-
-    # -- integral structure ----------------------------------------------------
-
-    def _build_integral_tables(self):
-        self.integral_basis = (self.one, self.alpha, self._sigma_alpha)
-        cols = [[e[i] for e in self.integral_basis] for i in range(3)]
-        self._to_int_matrix = linalg.invert_fraction(cols)
-        gram0 = [[self.bilinear(x, y) for y in self.integral_basis]
-                 for x in self.integral_basis]
-        assert all(v.denominator == 1 for row in gram0 for v in row)
-        self.gram0 = tuple(tuple(int(v) for v in row) for row in gram0)
-        assert linalg.det_bareiss(self.gram0) == self.disc
-        table = []
-        for gi in self.integral_basis:
-            row = []
-            for gj in self.integral_basis:
-                row.append(self.to_integral_exact(self.mul(gi, gj)))
-            table.append(tuple(row))
-        self.mul_table = tuple(table)
-        self.sigma_int = tuple(zip(*[self.to_integral_exact(self.sigma(g))
-                                     for g in self.integral_basis]))
-
-    def to_integral(self, x):
-        return tuple(linalg.mat_vec(self._to_int_matrix, list(x)))
-
-    def is_integral(self, x) -> bool:
-        return all(c.denominator == 1 for c in self.to_integral(x))
-
-    def to_integral_exact(self, x):
-        coords = self.to_integral(x)
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError("element is not integral: %r" % (x,))
-        return tuple(int(c) for c in coords)
-
-    def from_integral(self, coords):
-        out = self.from_int(0)
-        for c, g in zip(coords, self.integral_basis):
-            out = self.add(out, self.scale(g, c))
-        return out
-
-    # integer-coordinate operations used by the lattice layer
-
-    def imul(self, u, v):
-        out = [0, 0, 0]
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.mul_table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                f = ui * vj
-                w = row[j]
-                out[0] += f * w[0]
-                out[1] += f * w[1]
-                out[2] += f * w[2]
-        return tuple(out)
-
-    def isigma(self, u):
-        s = self.sigma_int
-        return tuple(s[i][0] * u[0] + s[i][1] * u[1] + s[i][2] * u[2]
-                     for i in range(3))
 
     @property
     def key(self) -> str:
@@ -221,13 +121,3 @@ class CubicField:
 
     def __repr__(self):
         return "CubicField(m=%d)" % self.m
-
-    def __eq__(self, other):
-        return isinstance(other, CubicField) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("cubic", self.m))
-
-
-def new_cubic(m: int) -> CubicField:
-    return CubicField(m)

@@ -12,10 +12,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(m):
-    return [list(row) for row in zip(*m)]
-
-
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     return [

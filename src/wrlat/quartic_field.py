@@ -22,9 +22,8 @@ diagonal for both signatures:
 import math
 from fractions import Fraction
 
-from . import linalg
-from .lattice_reduce import GramForm
 from .numtheory import factorize
+from .order import IntegralOrder
 
 
 def quartic_violation(a: int, b: int, c: int, d: int):
@@ -44,12 +43,47 @@ def quartic_violation(a: int, b: int, c: int, d: int):
     return None
 
 
+def quartic_basis_case(a: int, b: int, c: int, d: int) -> str:
+    """Integral-basis case I..V of admissible parameters; disc is odd in IV and V."""
+    if d % 2 == 0:
+        return "I"
+    if b % 2 == 1:
+        return "II"
+    if (a + b) % 4 == 3:
+        return "III"
+    return "IV" if (a + c) % 4 == 0 else "V"
+
+
+# per basis case, the powers of 2 in disc / (a^2 d^3) and in index / (a^2 b^2 c)
+_TWO_POWERS = {"I": (8, 0), "II": (6, 1), "III": (4, 2), "IV": (0, 4), "V": (0, 4)}
+
+
+def quartic_param_box(amax: int, dmax: int, odd_disc_only: bool = False) -> list:
+    """All admissible (a, b, c, d) with |a| <= amax and d <= dmax, by b, then c,
+    then a; with odd_disc_only, those of odd discriminant only."""
+    out = []
+    for b in range(1, dmax):
+        if b * b + 1 > dmax:
+            break
+        for c in range(1, dmax):
+            d = b * b + c * c
+            if d > dmax:
+                break
+            for a in range(-amax, amax + 1):
+                if quartic_violation(a, b, c, d) is not None:
+                    continue
+                if odd_disc_only and quartic_basis_case(a, b, c, d) not in ("IV", "V"):
+                    continue
+                out.append((a, b, c, d))
+    return out
+
+
 # integral bases ("case" I..V), coordinates over {1, sqrt(d), beta, sb}
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
-class QuarticField:
+class QuarticField(IntegralOrder):
     def __init__(self, a: int, b: int, c: int, d: int):
         reason = quartic_violation(a, b, c, d)
         if reason is not None:
@@ -60,24 +94,11 @@ class QuarticField:
         self.totally_real = a > 0
         # defining polynomial x^4 - 2ad x^2 + a^2 c^2 d
         self.df = (a * a * c * c * d, 0, -2 * a * d, 0)
-        if d % 2 == 0:
-            self.basis_case = "I"
-            self.disc = 2 ** 8 * a * a * d ** 3
-            self.index = a * a * b * b * c
-        elif b % 2 == 1:
-            self.basis_case = "II"
-            self.disc = 2 ** 6 * a * a * d ** 3
-            self.index = 2 * a * a * b * b * c
-        elif (a + b) % 4 == 3:
-            self.basis_case = "III"
-            self.disc = 2 ** 4 * a * a * d ** 3
-            self.index = 4 * a * a * b * b * c
-        else:
-            self.basis_case = "IV" if (a + c) % 4 == 0 else "V"
-            self.disc = a * a * d ** 3
-            self.index = 16 * a * a * b * b * c
-        assert self.index ** 2 * self.disc == 256 * a ** 6 * b ** 4 * c * c * d ** 3
-        self.one = self._vec(1, 0, 0, 0)
+        self.basis_case = quartic_basis_case(a, b, c, d)
+        disc_two, index_two = _TWO_POWERS[self.basis_case]
+        self.disc = 2 ** disc_two * a * a * d ** 3
+        self.index = 2 ** index_two * a * a * b * b * c
+        self.one = self.from_int(1)
         self.sqrt_d = self._vec(0, 1, 0, 0)
         self.beta = self._vec(0, 0, 1, 0)
         self.sigma_beta = self._vec(0, 0, 0, 1)
@@ -91,28 +112,11 @@ class QuarticField:
             (3, 3): self._vec(a * d, a * b, 0, 0),
         }
         assert self.eval_df(self.beta) == self._vec(0, 0, 0, 0)
-        self._build_integral_tables()
+        self._build_integral_tables(self._integral_basis_vectors())
 
     @staticmethod
     def _vec(s1, s2, s3, s4):
         return (Fraction(s1), Fraction(s2), Fraction(s3), Fraction(s4))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, x, y):
-        return tuple(u + v for u, v in zip(x, y))
-
-    def sub(self, x, y):
-        return tuple(u - v for u, v in zip(x, y))
-
-    def neg(self, x):
-        return tuple(-u for u in x)
-
-    def scale(self, x, k):
-        return tuple(k * u for u in x)
-
-    def from_int(self, k):
-        return self._vec(k, 0, 0, 0)
 
     def mul(self, x, y):
         out = [x[0] * y[0], x[0] * y[1] + x[1] * y[0],
@@ -129,48 +133,17 @@ class QuarticField:
                 out[3] += f * w[3]
         return tuple(out)
 
-    def eval_df(self, x):
-        e0, _, e2, _ = self.df
-        x2 = self.mul(x, x)
-        x4 = self.mul(x2, x2)
-        return self.add(self.add(x4, self.scale(x2, e2)), self.from_int(e0))
-
-    # -- Galois action and invariants ------------------------------------------
-
     def sigma(self, x):
         return (x[0], -x[1], -x[3], x[2])
 
-    def conjugates(self, x):
-        out = [x]
-        for _ in range(3):
-            out.append(self.sigma(out[-1]))
-        return out
-
     def trace(self, x) -> Fraction:
         return 4 * x[0]
-
-    def norm(self, x) -> Fraction:
-        prod = self.one
-        for conj in self.conjugates(x):
-            prod = self.mul(prod, conj)
-        assert prod[1] == prod[2] == prod[3] == 0
-        return prod[0]
 
     def bilinear(self, x, y) -> Fraction:
         """Tr(x*tau(y)); diagonal in the canonical coordinates."""
         w = abs(self.a) * self.d
         return 4 * (x[0] * y[0] + self.d * x[1] * y[1]
                     + w * (x[2] * y[2] + x[3] * y[3]))
-
-    def length_sq(self, x) -> Fraction:
-        return self.bilinear(x, x)
-
-    def gram_form(self, basis) -> GramForm:
-        if len(basis) != 4 or linalg.det_fraction([list(e) for e in basis]) == 0:
-            raise ValueError("basis must consist of 4 independent elements")
-        return GramForm(tuple(tuple(self.bilinear(x, y) for y in basis) for x in basis))
-
-    # -- integral structure ------------------------------------------------------
 
     def _integral_basis_vectors(self):
         one, sd, beta, sb = self.one, self.sqrt_d, self.beta, self.sigma_beta
@@ -190,64 +163,6 @@ class QuarticField:
                 self._vec(_QUARTER, _QUARTER, _QUARTER, _QUARTER),
                 self._vec(_QUARTER, -_QUARTER, -_QUARTER, _QUARTER))
 
-    def _build_integral_tables(self):
-        self.integral_basis = self._integral_basis_vectors()
-        cols = [[e[i] for e in self.integral_basis] for i in range(4)]
-        self._to_int_matrix = linalg.invert_fraction(cols)
-        gram0 = [[self.bilinear(x, y) for y in self.integral_basis]
-                 for x in self.integral_basis]
-        assert all(v.denominator == 1 for row in gram0 for v in row)
-        self.gram0 = tuple(tuple(int(v) for v in row) for row in gram0)
-        assert linalg.det_bareiss(self.gram0) == self.disc
-        table = []
-        for gi in self.integral_basis:
-            row = []
-            for gj in self.integral_basis:
-                row.append(self.to_integral_exact(self.mul(gi, gj)))
-            table.append(tuple(row))
-        self.mul_table = tuple(table)
-        self.sigma_int = tuple(zip(*[self.to_integral_exact(self.sigma(g))
-                                     for g in self.integral_basis]))
-
-    def to_integral(self, x):
-        return tuple(linalg.mat_vec(self._to_int_matrix, list(x)))
-
-    def is_integral(self, x) -> bool:
-        return all(v.denominator == 1 for v in self.to_integral(x))
-
-    def to_integral_exact(self, x):
-        coords = self.to_integral(x)
-        if any(v.denominator != 1 for v in coords):
-            raise ValueError("element is not integral: %r" % (x,))
-        return tuple(int(v) for v in coords)
-
-    def from_integral(self, coords):
-        out = self.from_int(0)
-        for k, g in zip(coords, self.integral_basis):
-            out = self.add(out, self.scale(g, k))
-        return out
-
-    def imul(self, u, v):
-        out = [0, 0, 0, 0]
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.mul_table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                f = ui * vj
-                w = row[j]
-                out[0] += f * w[0]
-                out[1] += f * w[1]
-                out[2] += f * w[2]
-                out[3] += f * w[3]
-        return tuple(out)
-
-    def isigma(self, u):
-        s = self.sigma_int
-        return tuple(sum(s[i][j] * u[j] for j in range(4)) for i in range(4))
-
     @property
     def params(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
@@ -258,13 +173,3 @@ class QuarticField:
 
     def __repr__(self):
         return "QuarticField(a=%d, b=%d, c=%d, d=%d)" % self.params
-
-    def __eq__(self, other):
-        return isinstance(other, QuarticField) and other.params == self.params
-
-    def __hash__(self):
-        return hash(("quartic",) + self.params)
-
-
-def new_quartic(a: int, b: int, c: int, d: int) -> QuarticField:
-    return QuarticField(a, b, c, d)

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .cubic_field import CubicField
-from .quartic_field import QuarticField, quartic_violation
+from .quartic_field import QuarticField, quartic_param_box
 from .ideal_lattice import decompose_prime, enumerate_primitive_ideals, stable_subspace_primes
 from .lattice_reduce import wr_report
 from .numtheory import enumerate_conductors
@@ -37,23 +37,6 @@ def parse_field_id(fid: str):
     raise ValueError("unknown field id %r" % fid)
 
 
-def _quartic_box(amax, dmax, odd_only=False):
-    out = []
-    for b in range(1, dmax):
-        for c in range(1, dmax):
-            d = b * b + c * c
-            if d > dmax:
-                continue
-            for a in range(-amax, amax + 1):
-                if a == 0 or quartic_violation(a, b, c, d) is not None:
-                    continue
-                F = QuarticField(a, b, c, d)
-                if odd_only and F.disc % 2 == 0:
-                    continue
-                out.append(F.key)
-    return out
-
-
 def expand_field_spec(spec: str) -> list:
     """Semicolon-separated list of selectors:
 
@@ -72,7 +55,8 @@ def expand_field_spec(spec: str) -> list:
         elif kind == "quartic" and rest.startswith("box:"):
             args = rest[4:].split(",")
             odd_only = len(args) > 2 and args[2] == "odd"
-            ids += _quartic_box(int(args[0]), int(args[1]), odd_only)
+            ids += ["quartic:%d,%d,%d,%d" % t
+                    for t in quartic_param_box(int(args[0]), int(args[1]), odd_only)]
         else:
             ids.append(parse_field_id(part).key)
     return ids

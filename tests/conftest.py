@@ -3,31 +3,8 @@ import random
 import pytest
 
 from wrlat.cubic_field import CubicField
-from wrlat.quartic_field import QuarticField, quartic_violation
+from wrlat.quartic_field import QuarticField, quartic_param_box  # re-exported to the tests
 from wrlat.numtheory import enumerate_conductors
-
-
-def quartic_param_box(amax, dmax, odd_disc_only=False):
-    """All valid (a, b, c, d) with |a| <= amax and d <= dmax."""
-    out = []
-    for b in range(1, dmax):
-        if b * b + 1 > dmax:
-            break
-        for c in range(1, dmax):
-            d = b * b + c * c
-            if d > dmax:
-                break
-            for a in range(-amax, amax + 1):
-                if a == 0 or quartic_violation(a, b, c, d) is not None:
-                    continue
-                if odd_disc_only and not _odd_disc(a, b, d):
-                    continue
-                out.append((a, b, c, d))
-    return out
-
-
-def _odd_disc(a, b, d):
-    return d % 2 == 1 and b % 2 == 0 and (a + b) % 4 == 1
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wrlat import linalg
-from wrlat.cubic_field import CubicField, new_cubic
+from wrlat.cubic_field import CubicField
 from wrlat.numtheory import enumerate_conductors
 
 
@@ -22,7 +22,7 @@ def coordinate_length_9div(field, m1, m2, m3):
 
 
 def test_defining_polynomials():
-    f7 = new_cubic(7)
+    f7 = CubicField(7)
     assert f7.df == (1, -2, -1)  # x^3 - x^2 - 2x + 1
     f9 = CubicField(9)
     assert f9.df == (1, -3, 0)  # x^3 - 3x + 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wrlat import linalg
-from wrlat.quartic_field import QuarticField, new_quartic
+from wrlat.quartic_field import QuarticField
 from conftest import quartic_param_box
 
 
@@ -19,17 +19,17 @@ def test_construction_examples(quartic_even, quartic_imag):
 
 def test_each_constraint_rejected_individually():
     with pytest.raises(ValueError, match="odd"):
-        new_quartic(2, 2, 1, 5)
+        QuarticField(2, 2, 1, 5)
     with pytest.raises(ValueError, match="a = 9 is not squarefree"):
-        new_quartic(9, 2, 1, 5)
+        QuarticField(9, 2, 1, 5)
     with pytest.raises(ValueError, match="positive"):
-        new_quartic(1, 0, 1, 1)
+        QuarticField(1, 0, 1, 1)
     with pytest.raises(ValueError, match="b\\^2 \\+ c\\^2"):
-        new_quartic(1, 2, 1, 6)
+        QuarticField(1, 2, 1, 6)
     with pytest.raises(ValueError, match="d = 8 is not squarefree"):
-        new_quartic(1, 2, 2, 8)
+        QuarticField(1, 2, 2, 8)
     with pytest.raises(ValueError, match="gcd"):
-        new_quartic(5, 2, 1, 5)
+        QuarticField(5, 2, 1, 5)
 
 
 def test_multiplication_table(quartic_even):
@@ -130,6 +130,13 @@ def test_index_squared_identity():
         a, b, c, d = params
         f = QuarticField(*params)
         assert f.index ** 2 * f.disc == 256 * a ** 6 * b ** 4 * c * c * d ** 3
+
+
+def test_param_box_odd_filter_matches_discriminant_parity():
+    box = quartic_param_box(5, 40)
+    odd = quartic_param_box(5, 40, odd_disc_only=True)
+    assert odd == [t for t in box if QuarticField(*t).disc % 2 == 1]
+    assert 0 < len(odd) < len(box)
 
 
 def test_orbit_rank_criterion(rng, quartic_even, quartic_imag):

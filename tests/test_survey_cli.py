@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wrlat import survey_cli as cli
+from wrlat.quartic_field import QuarticField, quartic_param_box
 
 
 def run(capsys, argv):
@@ -64,6 +65,12 @@ def test_field_spec_expansion():
     assert odd == ["quartic:-1,2,1,5"]
     mixed = cli.expand_field_spec("cubic:7;quartic:1,2,1,5")
     assert mixed == ["cubic:7", "quartic:1,2,1,5"]
+
+
+def test_quartic_box_selector_matches_library_box():
+    want = [QuarticField(*t).key for t in quartic_param_box(5, 40)]
+    want += [QuarticField(*t).key for t in quartic_param_box(5, 40, odd_disc_only=True)]
+    assert cli.expand_field_spec("quartic:box:5,40;quartic:box:5,40,odd") == want
 
 
 def test_scan_json_roundtrip_and_determinism(capsys):
