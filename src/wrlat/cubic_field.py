@@ -33,6 +33,7 @@ class CubicField(IntegralOrder):
         self.a, self.b = conductor_params(m)
         self.nine_divides_m = m % 9 == 0
         self.disc = m * m
+        self.index = abs(self.b) // 3  # disc(df) = (m*b/3)^2
         if self.nine_divides_m:
             c2, c1 = 0, Fraction(-m, 3)
             c0 = Fraction(-self.a * m, 27)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .numtheory import is_prime, is_quadratic_residue, primes_upto, sqrt_mod
+from .numtheory import is_prime, is_quadratic_residue, primes_upto, sqrt_mod, x_power_mod
 
 
 class IdealLattice:
@@ -42,14 +42,33 @@ class IdealLattice:
         cols = [f.imul(u, v) for u in self.columns() for v in other.columns()]
         return IdealLattice(f, linalg.hnf_upper(cols, f.n))
 
+    def mul_coprime(self, other) -> "IdealLattice":
+        """Product of ideals I, J of coprime norms a, b, as b*I + a*J.
+
+        At a prime q | a the ideal J is locally the whole ring and b is a
+        unit, so both sides are locally I (a lies in I); at q | b they are
+        both J, and elsewhere both are the whole ring.  The HNF takes 2n
+        scaled columns instead of n^2 products.
+        """
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError("ideals live in different fields")
+        a, b = self.norm, other.norm
+        if math.gcd(a, b) != 1:
+            raise ValueError("norms %d and %d are not coprime" % (a, b))
+        cols = [tuple(b * x for x in c) for c in self.columns()]
+        cols += [tuple(a * x for x in c) for c in other.columns()]
+        return IdealLattice(self.field, linalg.hnf_upper(cols, self.field.n))
+
     def __mul__(self, other):
         return self.mul(other)
 
     def power(self, k: int) -> "IdealLattice":
         if k < 0:
             raise ValueError("negative ideal powers are out of scope")
-        out = unit_ideal(self.field)
-        for _ in range(k):
+        if k == 0:
+            return unit_ideal(self.field)
+        out = self
+        for _ in range(k - 1):
             out = out.mul(self)
         return out
 
@@ -77,8 +96,7 @@ class IdealLattice:
     def validate_ideal(self) -> bool:
         """True iff the lattice is closed under multiplication by O."""
         f = self.field
-        n = f.n
-        units = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
+        units = _unit_vectors(f.n)
         for col in self.columns():
             for e in units:
                 if not self.contains_coords(f.imul(col, e)):
@@ -102,6 +120,10 @@ class IdealLattice:
 
 
 # -- constructors -------------------------------------------------------------
+
+def _unit_vectors(n):
+    return [tuple(int(i == k) for i in range(n)) for k in range(n)]
+
 
 def unit_ideal(field) -> IdealLattice:
     n = field.n
@@ -127,14 +149,16 @@ def from_z_generators(field, elems) -> IdealLattice:
 
 
 def from_generators(field, gens) -> IdealLattice:
-    """Ideal generated by `gens`: the Z-span of {g * e : e integral basis}."""
+    """Ideal generated by the integral elements `gens`: the Z-span of
+    {g * e : e integral basis}, each g taken to integral coordinates once."""
     gens = list(gens)
     if not gens or all(g == field.from_int(0) for g in gens):
         raise ValueError("need at least one nonzero generator")
+    units = _unit_vectors(field.n)
     cols = []
     for g in gens:
-        for e in field.integral_basis:
-            cols.append(field.to_integral_exact(field.mul(g, e)))
+        u = field.to_integral_exact(g)
+        cols.extend(field.imul(u, e) for e in units)
     return from_integral_columns(field, cols)
 
 
@@ -196,7 +220,7 @@ def _finish_decomposition(field, p, factors) -> PrimeDecomposition:
     n = field.n
     factors = sorted(factors, key=lambda t: t[0].hnf)
     efs = []
-    prod = unit_ideal(field)
+    prod = None
     for P, e in factors:
         f = 0
         norm = P.norm
@@ -205,7 +229,7 @@ def _finish_decomposition(field, p, factors) -> PrimeDecomposition:
             norm //= p
             f += 1
         efs.append((e, f))
-        prod = prod.mul(P.power(e))
+        prod = P.power(e) if prod is None else prod.mul(P.power(e))
     assert sum(e * f for e, f in efs) == n
     assert prod == principal_integer(field, p), \
         "prime factors above %d do not multiply back to (%d)" % (p, p)
@@ -708,8 +732,7 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
             k >>= 1
         return out
 
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    frob = [list(col) for col in zip(*[apow(e, p) for e in units])]
+    frob = [list(col) for col in zip(*[apow(e, p) for e in _unit_vectors(n)])]
     e_pow = 1
     while p ** e_pow < n:
         e_pow += 1
@@ -812,13 +835,31 @@ def _solve_modp(mat_cols_major, rhs, p):
 
 # -- enumeration ----------------------------------------------------------------
 
+def may_have_degree_one_prime(field, p: int) -> bool:
+    """False only when no prime above p has residue degree one.
+
+    Exact for p not dividing disc(df) = index^2 * disc (Dedekind, Cohen
+    GTM 138, sec. 4.8): there pO factors as df does mod p, and since the field
+    is Galois all primes above p share one residue degree, so a degree-one
+    prime exists iff df splits into distinct linear factors mod p, i.e.
+    iff x^p = x mod (df, p).  True for the finitely many p | disc(df).
+    """
+    if field.index ** 2 * field.disc % p == 0:
+        return True
+    return x_power_mod(field.df, p, p) == [0, 1] + [0] * (field.n - 2)
+
+
 def enumerate_primitive_ideals(field, norm_bound: int) -> list:
     """All primitive integral ideals of norm <= norm_bound, as products of
-    the prime ideals over p <= norm_bound, sorted by (norm, HNF)."""
+    the prime ideals over p <= norm_bound, sorted by (norm, HNF).  A prime p
+    with p^2 > norm_bound is decomposed only when it may have a prime of
+    norm p; products across primes are coprime products."""
     if norm_bound < 1:
         raise ValueError("norm bound must be at least 1")
     per_prime = []
     for p in primes_upto(norm_bound):
+        if p * p > norm_bound and not may_have_degree_one_prime(field, p):
+            continue
         dec = decompose_prime(field, p)
         plist = [(P, P.norm, e0) for P, e0 in dec.factors]
         if min(norm for _, norm, _ in plist) > norm_bound:
@@ -853,7 +894,7 @@ def enumerate_primitive_ideals(field, norm_bound: int) -> list:
             for latp, np_ in parts:
                 nn = n0 * np_
                 if nn <= norm_bound:
-                    extra.append((latp if n0 == 1 else lat0.mul(latp), nn))
+                    extra.append((latp if n0 == 1 else lat0.mul_coprime(latp), nn))
         results.extend(extra)
     results.sort(key=lambda t: (t[1], t[0].hnf))
     assert len({lat.hnf for lat, _ in results}) == len(results)

@@ -5,6 +5,7 @@ Fractions.  Dimensions are tiny (n <= 4 for all lattice work), so the
 code favours clarity and exactness over asymptotics.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -126,18 +127,30 @@ def rank_int(m):
 
 
 def is_positive_definite(g):
+    """True iff g is square, symmetric and all its leading principal minors
+    are positive.  One Bareiss elimination without pivoting: its k-th pivot
+    is the k-th leading minor, so it stops at the first non-positive one.
+    Rational entries are scaled to integers first, which keeps the signs."""
     n = len(g)
-    for row in g:
-        if len(row) != n:
+    if any(len(row) != n for row in g):
+        return False
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        return False
+    if all(type(x) is int for row in g for x in row):
+        a = [list(row) for row in g]
+    else:
+        rows = [[Fraction(x) for x in row] for row in g]
+        scale = math.lcm(*[x.denominator for row in rows for x in row])
+        a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0:
             return False
-    for i in range(n):
-        for j in range(i):
-            if g[i][j] != g[j][i]:
-                return False
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in g[:k]]
-        if det(minor) <= 0:
-            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
+        prev = piv
     return True
 
 

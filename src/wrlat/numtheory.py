@@ -201,6 +201,35 @@ def sqrt_mod(a: int, p: int) -> int:
     return min(x, p - x)
 
 
+def x_power_mod(df, e, p):
+    """x^e mod (df, p) as len(df) ascending coefficients in [0, p); df is
+    monic of degree len(df) >= 2, ascending, with its leading 1 left out."""
+    n = len(df)
+    df = [c % p for c in df]
+
+    def mulmod(u, v):
+        prod = [0] * (2 * n - 1)
+        for i, ui in enumerate(u):
+            if ui:
+                for j, vj in enumerate(v):
+                    prod[i + j] += ui * vj
+        for k in range(2 * n - 2, n - 1, -1):
+            c = prod[k] % p
+            if c:  # x^k = -sum_t df[t] x^(k-n+t)
+                for t in range(n):
+                    prod[k - n + t] -= c * df[t]
+        return [x % p for x in prod[:n]]
+
+    out = [1] + [0] * (n - 1)
+    base = [0, 1] + [0] * (n - 2)
+    while e:
+        if e & 1:
+            out = mulmod(out, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cyclic cubic conductors: m = p1*...*pr with distinct factors from
 # {9} union {q prime, q = 1 mod 3}, and m = (a^2 + 3 b^2)/4 with

@@ -11,9 +11,12 @@ integral basis (gamma_1 = 1, ..., gamma_n):
 and carries everything that depends only on n, the integral basis, `mul`,
 `sigma` and `bilinear`.  Elements are n-tuples of exact rationals over the
 subclass's own coordinate basis, whose first vector is 1; integral
-coordinates are n-tuples of ints.
+coordinates are n-tuples of ints.  The change of coordinates is an integer
+matrix over one common denominator, so converting an element costs integer
+dot products and one divisibility test.
 """
 
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -24,15 +27,18 @@ class IntegralOrder:
     """Base of both field classes.
 
     A subclass sets n, df (monic defining polynomial, ascending, leading 1
-    left out) and disc, defines mul, sigma, bilinear and key, and then calls
-    `_build_integral_tables` with its integral basis.
+    left out), disc and index (of the order generated by a root of df, so
+    disc(df) = index^2 * disc), defines mul, sigma, bilinear and key, and
+    then calls `_build_integral_tables` with its integral basis.
     """
 
     def _build_integral_tables(self, integral_basis):
         self.integral_basis = basis = tuple(integral_basis)
         n = self.n
-        self._to_int_matrix = linalg.invert_fraction(
-            [[e[i] for e in basis] for i in range(n)])
+        # integral coordinates of x are _to_int_num * x / _to_int_den
+        inv = linalg.invert_fraction([[e[i] for e in basis] for i in range(n)])
+        self._to_int_den = den = math.lcm(*[x.denominator for row in inv for x in row])
+        self._to_int_num = tuple(tuple(int(x * den) for x in row) for row in inv)
         gram0 = [[self.bilinear(x, y) for y in basis] for x in basis]
         assert all(v.denominator == 1 for row in gram0 for v in row)
         self.gram0 = tuple(tuple(int(v) for v in row) for row in gram0)
@@ -94,17 +100,26 @@ class IntegralOrder:
 
     # -- integral coordinates ------------------------------------------------------
 
+    def _scaled_integral(self, x):
+        """(y, s): integers y and s > 0 with integral coordinates y / s."""
+        scale = math.lcm(*[c.denominator for c in x])
+        v = [c.numerator * (scale // c.denominator) for c in x]
+        y = [sum(a * b for a, b in zip(row, v)) for row in self._to_int_num]
+        return y, scale * self._to_int_den
+
     def to_integral(self, x):
-        return tuple(linalg.mat_vec(self._to_int_matrix, list(x)))
+        y, s = self._scaled_integral(x)
+        return tuple(Fraction(c, s) for c in y)
 
     def is_integral(self, x) -> bool:
-        return all(c.denominator == 1 for c in self.to_integral(x))
+        y, s = self._scaled_integral(x)
+        return all(c % s == 0 for c in y)
 
     def to_integral_exact(self, x):
-        coords = self.to_integral(x)
-        if any(c.denominator != 1 for c in coords):
+        y, s = self._scaled_integral(x)
+        if any(c % s for c in y):
             raise ValueError("element is not integral: %r" % (x,))
-        return tuple(int(c) for c in coords)
+        return tuple(c // s for c in y)
 
     def from_integral(self, coords):
         out = self.from_int(0)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -46,6 +47,74 @@ def test_norm_multiplicative_coprime(cubic91):
     P13 = il.decompose_prime_cubic(f, 13).factors[0][0]
     prod = P7.mul(P13)
     assert prod.norm == P7.norm * P13.norm == 91
+
+
+def test_power_starts_from_self(cubic7, quartic_even):
+    for f, p in ((cubic7, 7), (quartic_even, 5)):
+        P = il.decompose_prime(f, p).factors[0][0]
+        assert P.power(0) == il.unit_ideal(f)
+        assert P.power(1) is P
+        assert P.power(3) == P.mul(P).mul(P)
+        with pytest.raises(ValueError):
+            P.power(-1)
+
+
+def test_from_generators_matches_rational_route(small_cubic_fields,
+                                                small_quartic_fields, rng):
+    for f in small_cubic_fields + small_quartic_fields:
+        for _ in range(12):
+            gens = [f.from_integral(tuple(rng.randint(-9, 9) for _ in range(f.n)))
+                    for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                gens.append(f.from_int(rng.choice((2, 3, 5, 7))))
+            if all(g == f.from_int(0) for g in gens):
+                continue
+            cols = [f.to_integral_exact(f.mul(g, e)) for g in gens for e in f.integral_basis]
+            want = il.from_integral_columns(f, cols)
+            assert il.from_generators(f, gens) == want
+            assert want.validate_ideal()
+
+
+@pytest.mark.parametrize("family,bound", [("small_cubic_fields", 300),
+                                          ("small_quartic_fields", 200)])
+def test_coprime_product_matches_mul(family, bound, request, rng):
+    for f in request.getfixturevalue(family):
+        ideals = il.enumerate_primitive_ideals(f, bound)[1:]
+        pairs = 0
+        while pairs < 25:
+            I, J = rng.choice(ideals), rng.choice(ideals)
+            if math.gcd(I.norm, J.norm) != 1:
+                with pytest.raises(ValueError):
+                    I.mul_coprime(J)
+                continue
+            assert I.mul_coprime(J) == I.mul(J)
+            pairs += 1
+
+
+def test_degree_one_prefilter_is_exact(small_cubic_fields, small_quartic_fields):
+    """The enumerator skips p with p^2 > bound when the prefilter rules out
+    a prime of norm p: it may never rule one out wrongly, and for p prime to
+    disc(df) it is exact."""
+    ramified_guarded = skipped = 0
+    for f in small_cubic_fields + small_quartic_fields:
+        disc_df = f.index ** 2 * f.disc
+        for p in primes_upto(300):
+            dec = il.decompose_prime(f, p)
+            has_one = any(dec.residue_degree(P) == 1 for P in dec.primes)
+            if p <= 97:
+                oracle = il.stable_subspace_primes(f, p)
+                assert any(oracle.residue_degree(P) == 1 for P in oracle.primes) == has_one
+            may = il.may_have_degree_one_prime(f, p)
+            if has_one:
+                assert may, (f.key, p)
+            if disc_df % p:
+                assert may == has_one, (f.key, p)
+            elif has_one and dec.is_ramified():
+                ramified_guarded += 1
+            skipped += not may
+    # p = 2, 3 and the ramified primes are in range; a fair share is skipped
+    assert ramified_guarded >= 17
+    assert skipped >= 600
 
 
 def test_mismatched_fields_rejected(cubic7, cubic91):

@@ -82,3 +82,43 @@ def test_positive_definite_check():
     assert linalg.is_positive_definite([[2, 1], [1, 2]])
     assert not linalg.is_positive_definite([[1, 2], [2, 1]])
     assert not linalg.is_positive_definite([[1, 2], [3, 1]])
+
+
+def _leading_minors_positive(g):
+    n = len(g)
+    return all(linalg.det_fraction([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
+
+
+def test_positive_definite_matches_leading_minors():
+    rng = random.Random(11)
+    kinds = {"pd": 0, "singular": 0, "indefinite": 0}
+    for trial in range(2000):
+        n = rng.randint(1, 4)
+        rational = trial % 2 == 1
+
+        def entry():
+            x = rng.randint(-5, 5)
+            return Fraction(x, rng.randint(1, 6)) if rational else x
+
+        if trial % 5 == 0:
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    g[i][j] = g[j][i] = entry()
+        else:
+            # Gram matrix of k vectors: singular when k < n or they are dependent
+            vecs = [[entry() for _ in range(n)] for _ in range(rng.randint(max(1, n - 1), n + 1))]
+            g = [[sum(v[i] * v[j] for v in vecs) for j in range(n)] for i in range(n)]
+            if trial % 5 == 1:
+                i = rng.randrange(n)
+                g[i][i] -= rng.randint(0, 3)
+        got = linalg.is_positive_definite(g)
+        assert got == _leading_minors_positive(g), g
+        minors = [linalg.det_fraction([row[:k] for row in g[:k]]) for k in range(1, n + 1)]
+        if got:
+            kinds["pd"] += 1
+        elif 0 in minors and all(m >= 0 for m in minors):
+            kinds["singular"] += 1
+        else:
+            kinds["indefinite"] += 1
+    assert min(kinds.values()) >= 200, kinds

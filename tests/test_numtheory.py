@@ -84,6 +84,18 @@ def test_sqrt_mod_roundtrip(p, x):
     assert r * r % p == a
 
 
+def test_x_power_mod_matches_repeated_multiplication():
+    # x^e mod (df, p) against e successive multiplications by x
+    for df in ((-1, -2, 1), (125, 0, -20, 0), (3, 5, 0, 7)):
+        n = len(df)
+        for p in (2, 3, 5, 11, 101):
+            cur = [1] + [0] * (n - 1)
+            for e in range(60):
+                assert nt.x_power_mod(df, e, p) == cur
+                top = cur[-1]
+                cur = [(lo - top * c) % p for lo, c in zip([0] + cur[:-1], df)]
+
+
 def test_conductor_params_examples():
     assert nt.conductor_params(7) == (-1, 3)
     assert nt.conductor_params(9) == (-3, 3)

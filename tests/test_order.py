@@ -1,8 +1,11 @@
 """Contract of the integral-order core that both field families share: the
 integer tables agree with the element arithmetic they were built from."""
 
+from fractions import Fraction
+
 import pytest
 
+from wrlat import linalg
 from wrlat.linalg import det_bareiss
 
 
@@ -29,3 +32,27 @@ def test_integral_tables_match_element_arithmetic(family, request, rng):
             assert f.isigma(u) == f.to_integral_exact(f.sigma(x))
             # the norm as a product of conjugates against det of multiplication by u
             assert f.norm(x) == det_bareiss([f.imul(u, e) for e in units])
+
+
+@pytest.mark.parametrize("family", ["small_cubic_fields", "small_quartic_fields"])
+def test_to_integral_matches_inverse_basis_matrix(family, request, rng):
+    for f in request.getfixturevalue(family):
+        n = f.n
+        inverse = linalg.invert_fraction([[e[i] for e in f.integral_basis] for i in range(n)])
+        for _ in range(60):
+            x = tuple(Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 8, 9, 12)))
+                      for _ in range(n))
+            want = tuple(linalg.mat_vec(inverse, list(x)))
+            got = f.to_integral(x)
+            assert got == want and all(type(c) is Fraction for c in got)
+            integral = all(c.denominator == 1 for c in want)
+            assert f.is_integral(x) == integral
+            if integral:
+                exact = f.to_integral_exact(x)
+                assert exact == want and all(type(c) is int for c in exact)
+            else:
+                with pytest.raises(ValueError):
+                    f.to_integral_exact(x)
+        # an element with a denominator the integral basis does not have
+        with pytest.raises(ValueError):
+            f.to_integral_exact(f.scale(f.one, Fraction(1, 3)))

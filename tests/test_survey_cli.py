@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,23 @@ def test_scan_json_roundtrip_and_determinism(capsys):
     # round trip through the emitters
     assert cli.emit_json(config, records, summary) == out1
     assert cli.parse_csv(cli.emit_csv(records)) == records
+
+
+# sha256 of the canonical JSON (sorted keys, no whitespace) of records +
+# summary of this scan, pinned on the Fraction-based enumerator: faster
+# paths must leave every scan record byte-identical
+SCAN_GOLDEN_FIELDS = "cubic:91;cubic:7..60;quartic:-1,2,1,5;quartic:1,2,1,5"
+SCAN_GOLDEN_SHA256 = "c8e15c1f33857751d3ce26b2d5d1b62b09a0fb27d1ba3edd63c12c68b5835c3f"
+
+
+def test_scan_output_matches_golden_digest(capsys):
+    code, out = run(capsys, ["scan", "--fields", SCAN_GOLDEN_FIELDS,
+                             "--norm-bound", "500", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    canon = json.dumps({"records": doc["records"], "summary": doc["summary"]},
+                       sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == SCAN_GOLDEN_SHA256
 
 
 def test_scan_csv_output(capsys, tmp_path):
