@@ -5,11 +5,18 @@ field's integral basis (upper triangular, positive diagonal, off-diagonal
 entries reduced mod the diagonal), so ideal equality is matrix equality
 and the norm is the diagonal product.
 
-Alongside the generic lattice arithmetic this module carries the
-closed-form prime decompositions of both field families, the explicit
-integral bases of the ramified-product ideals, and an independent oracle
-(`stable_subspace_primes`) that recovers the primes above p as the maximal
-multiplication-stable subspaces of O/pO via radical splitting over F_p.
+Alongside the generic lattice arithmetic this module carries the prime
+decompositions of both field families, the explicit integral bases of the
+ramified-product ideals, and one splitting engine
+(`stable_subspace_primes`) that recovers the primes above any prime p as
+the maximal multiplication-stable subspaces of O/pO: it takes the radical
+over F_p and splits the semisimple quotient by equal-degree
+(Cantor-Zassenhaus) splitting.  Primes with a closed form (ramified
+primes, primes prime to the index, and in the quartic family p | d, p | a,
+p | c and the stated bases above 2) are built from generators; the others
+(p dividing the cubic index, odd p | b and three classes of p = 2 in the
+quartic family) go to the engine, which also serves as the independent
+oracle for every closed form.  No prime is out of range.
 """
 
 import math
@@ -243,11 +250,11 @@ def decompose_prime(field, p: int) -> PrimeDecomposition:
 
 
 def decompose_prime_cubic(field, p: int) -> PrimeDecomposition:
-    """pO in a cyclic cubic field: the ramified divisors of the conductor
-    carry two-element generators; everywhere else the defining cubic is
-    factored mod p (degree 3 forbids a partial split), falling back to the
-    stable-subspace oracle for the finitely many p dividing the index of
-    Z[alpha]."""
+    """pO in a cyclic cubic field, for any prime p.  Closed forms: the
+    ramified divisors of the conductor carry two-element generators, and
+    for p prime to the index of Z[alpha] the defining cubic is factored
+    mod p (degree 3 forbids a partial split).  The finitely many p
+    dividing the index go to the splitting engine."""
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
     f = field
@@ -379,95 +386,32 @@ def split_pair_above(field, q: int) -> tuple:
     return q1, q2
 
 
-def _degree_one_primes_above_2(field):
-    """Norm-2 primes as kernels of the ring maps O -> F_2: a map is fixed
-    by the mod-2 images of the non-trivial integral basis elements and
-    must respect the multiplication table."""
-    f = field
-    n = f.n
-    out = []
-    for bits in range(1 << (n - 1)):
-        phi = [1] + [(bits >> k) & 1 for k in range(n - 1)]
-        ok = True
-        for i in range(n):
-            for j in range(i, n):
-                image = sum(w * phi[t] for t, w in enumerate(f.mul_table[i][j])) % 2
-                if image != phi[i] * phi[j] % 2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        cols = [tuple(2 * int(r == k) for r in range(n)) for k in range(n)]
-        for i in range(1, n):
-            v = [0] * n
-            v[i] = 1
-            v[0] = -phi[i]
-            cols.append(tuple(v))
-        P = from_integral_columns(f, cols)
-        assert P.norm == 2 and P.validate_ideal()
-        out.append(P)
-    return sorted(out, key=lambda L: L.hnf)
-
-
-def _select_ideal_basis(field, candidates, norm):
-    """First candidate generator list that spans a valid ideal of the
-    expected norm; sign errata in the stated module bases make this a
-    two-way choice."""
-    for gens in candidates:
-        try:
-            L = from_z_generators(field, gens)
-        except ValueError:
-            continue
-        if L.norm == norm and L.validate_ideal():
-            return L
-    raise ArithmeticError("no stated module basis yields a valid ideal")
-
-
 def _decompose_two_quartic(field) -> PrimeDecomposition:
     f = field
-    a, b, c, d = f.a, f.b, f.c, f.d
-    one, sd, beta, sb = f.one, f.sqrt_d, f.beta, f.sigma_beta
-    half = Fraction(1, 2)
+    a, b, d = f.a, f.b, f.d
     two = f.from_int(2)
     if d % 2 == 0:
-        P = from_generators(f, [two, beta])
+        P = from_generators(f, [two, f.beta])
         assert P.norm == 2
         return _finish_decomposition(f, 2, [(P, 4)])
-    if d % 8 == 5 and (b % 2 == 1 or (a + b) % 4 == 3):
+    if d % 8 == 5 and b % 2 == 1:
         # unique prime of norm 4
-        if b % 2 == 1:
-            P = from_z_generators(f, [two, f.add(one, sd), beta, sb])
-            assert P.validate_ideal() and P.norm == 4
-        else:
-            plus = f.add(one, sd)
-            minus = f.sub(sd, one)
-            bsum = f.add(beta, sb)
-            bdif = f.sub(beta, sb)
-            P = _select_ideal_basis(f, [
-                [two, plus, f.scale(f.sub(minus, bsum), half),
-                 f.scale(f.add(plus, bdif), half)],
-                [two, plus, f.scale(f.sub(plus, bsum), half),
-                 f.scale(f.add(minus, bdif), half)],
-            ], 4)
+        P = from_z_generators(f, [two, f.add(f.one, f.sqrt_d), f.beta, f.sigma_beta])
+        assert P.validate_ideal() and P.norm == 4
         return _finish_decomposition(f, 2, [(P, 2)])
-    if d % 8 == 1 and (b % 2 == 1 or (a + b) % 4 == 3):
-        pair = _degree_one_primes_above_2(f)
-        assert len(pair) == 2
-        return _finish_decomposition(f, 2, [(pair[0], 2), (pair[1], 2)])
-    # odd field discriminant
-    if d % 8 == 5:
+    if d % 8 == 5 and (a + b) % 4 != 3:
+        # odd field discriminant: 2 is inert
         return _finish_decomposition(f, 2, [(principal_integer(f, 2), 1)])
     return stable_subspace_primes(f, 2)
 
 
 def decompose_prime_quartic(field, p: int) -> PrimeDecomposition:
-    """pO in a cyclic quartic field, by the closed case split on
-    (p | d, p | a, p | b, p | c, residue classes of d, a, 2a and of
-    a*d +- a*b*z mod p).  The two cases without a closed form (p = 2 with
-    odd discriminant and d = 1 mod 8; odd p | b with b = 0 mod 4 and
-    a + b = 1 mod 4) fall back to the stable-subspace oracle."""
+    """pO in a cyclic quartic field, for any prime p.  Closed forms: p | d,
+    p | a, p | c and p prime to abcd (by the residue classes of d, a, 2a
+    and a*d +- a*b*z mod p), and p = 2 with d even, with d = 5 mod 8 and
+    b odd, or with odd discriminant and d = 5 mod 8.  Odd p | b and the
+    remaining p = 2 classes (d = 5 mod 8 with b even and a + b = 3 mod 4;
+    d = 1 mod 8) go to the splitting engine."""
     f = field
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
@@ -487,10 +431,7 @@ def decompose_prime_quartic(field, p: int) -> PrimeDecomposition:
         Q = ramified_product_ideal(f, (), (p,))
         return _finish_decomposition(f, p, [(Q, 2)])
     if b % p == 0:
-        factors = _divisor_of_b_factors(f, p)
-        if factors is None:
-            return stable_subspace_primes(f, p)
-        return _finish_decomposition(f, p, factors)
+        return stable_subspace_primes(f, p)
     if c % p == 0:
         if is_quadratic_residue(2 * a, p):
             ell = sqrt_mod(2 * a % p, p)
@@ -531,118 +472,7 @@ def decompose_prime_quartic(field, p: int) -> PrimeDecomposition:
     return _finish_decomposition(f, p, [(p1, 1), (p2, 1)])
 
 
-def _b_divisor_candidates(field, p, split, ell):
-    """Candidate module bases of one prime above an odd p | b, p coprime
-    to a.  The stated bases carry sign slips for some residue classes of
-    c mod 4, so every sign variant of the stated shape is offered; the
-    caller keeps the first valid one and completes the set with the
-    Galois orbit."""
-    f = field
-    a, b, c, d = f.a, f.b, f.c, f.d
-    one, sd, beta, sb = f.one, f.sqrt_d, f.beta, f.sigma_beta
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    pe = f.from_int(p)
-    signs = (1, -1)
-    if d % 2 == 0:
-        g2s = [f.add(f.from_int(s * c), sd) for s in signs]
-    elif b % 2 == 1:
-        g2s = [f.scale(f.add(f.from_int(p + s * c), sd), half) for s in signs]
-    else:
-        g2s = [f.scale(f.add(f.from_int(s * c), sd), half) for s in signs]
-    if d % 2 == 0 or b % 2 == 1:
-        if split:
-            for g2 in g2s:
-                for e2 in signs:
-                    for s2 in signs:
-                        for e3 in signs:
-                            for s3 in signs:
-                                yield [pe, g2,
-                                       f.add(f.from_int(e2 * ell * c), f.scale(sb, s2)),
-                                       f.add(f.from_int(e3 * ell * c), f.scale(beta, s3))]
-        else:
-            for g2 in g2s:
-                for s2 in signs:
-                    yield [pe, g2, f.scale(sb, p),
-                           f.add(beta, f.scale(sb, s2))]
-        return
-    if (a + b) % 4 == 3:
-        mplus = f.scale(f.add(beta, sb), half)
-        mminus = f.scale(f.sub(sb, beta), half)
-        if split:
-            for g2 in g2s:
-                for e2 in signs:
-                    lc = f.from_int(e2 * ell * c)
-                    yield [pe, g2, mminus, f.add(lc, mplus)]
-                    yield [pe, g2, f.add(lc, mminus), mplus]
-        else:
-            for g2 in g2s:
-                yield [pe, g2, mminus, f.scale(mplus, p)]
-                yield [pe, g2, f.scale(mminus, p), mplus]
-        return
-    # b = 2 mod 4, a + b = 1 mod 4 (for b = 0 mod 4 the caller falls back)
-    if b % 4 != 2:
-        return
-    vpool = []
-    for e in signs:
-        for fn, gn in ((1, 1), (-1, -1)):
-            vpool.append(f.scale(f.add(f.add(f.from_int(b + e * c), f.scale(sd, fn)),
-                                       f.add(f.neg(beta), f.scale(sb, gn))), quarter))
-    if split:
-        cpool = []
-        for e in signs:
-            for fn, gn in ((1, 1), (-1, -1)):
-                cpool.append(f.scale(
-                    f.add(f.add(f.from_int((2 * e * ell + 1) * c), f.scale(sd, fn)),
-                          f.add(f.neg(beta), f.scale(sb, gn))), quarter))
-        for g2 in g2s:
-            for u in cpool:
-                for v in vpool:
-                    yield [pe, g2, u, v]
-    else:
-        wpool = []
-        for e in signs:
-            for e2 in signs:
-                wpool.append(f.scale(f.add(f.add(f.from_int(e), sd),
-                                           f.add(f.scale(beta, e2), sb)), quarter * p))
-        for g2 in g2s:
-            for v in vpool:
-                for w in wpool:
-                    yield [pe, g2, v, w]
-
-
-def _divisor_of_b_factors(field, p):
-    """Primes above an odd p | b with p coprime to a: one valid module
-    basis from the stated shape pool seeds the full set via the Galois
-    orbit.  Returns [(P, 1), ...] or None when no stated variant works."""
-    f = field
-    split = is_quadratic_residue(f.a, p)
-    ell = sqrt_mod(f.a % p, p) if split else None
-    expected_norm = p if split else p * p
-    count = 4 if split else 2
-    seed = None
-    for gens in _b_divisor_candidates(f, p, split, ell):
-        try:
-            L = from_z_generators(f, gens)
-        except ValueError:
-            continue
-        if L.norm == expected_norm and L.validate_ideal():
-            seed = L
-            break
-    if seed is None:
-        return None
-    orbit = [seed]
-    cur = seed
-    for _ in range(3):
-        cur = cur.apply_sigma()
-        if cur not in orbit:
-            orbit.append(cur)
-    if len(orbit) != count:
-        return None
-    return [(P, 1) for P in orbit]
-
-
-# -- stable-subspace oracle ----------------------------------------------------
+# -- splitting engine: stable subspaces of O/pO --------------------------------
 
 def _rref_modp(rows, p):
     a = [[x % p for x in row] for row in rows]
@@ -708,14 +538,21 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
 
     The algebra A = O/pO is split exactly: the radical is the kernel of
     the p^e-power map (additive in characteristic p), and the semisimple
-    quotient decomposes into joint eigenspaces of multiplication by
-    Frobenius-fixed elements.  Exponents follow from the product identity,
-    which is verified.  Independent of every closed-form decomposition.
+    quotient B = A/rad is a product of g residue fields, whose
+    Frobenius-fixed elements form F_p^g.  A fixed element fv acts on the
+    i-th field as a scalar lam_i, so u = (fv + a)^((p-1)/2) acts there as
+    the quadratic character of lam_i + a, one of 0, 1, p-1, and the
+    eigenspaces of u split B along the fields (equal-degree splitting,
+    Cantor-Zassenhaus; Cohen, GTM 138, sec. 3.4).  Running a over F_p for
+    each fixed basis element separates every two fields that fv
+    separates (a = -lam_i does); the loop stops once g components remain
+    or fv is one scalar on each, and a = 0 or 1 usually suffices.
+    Exponents follow from the product identity, which is verified.
+    Independent of every closed-form decomposition, and valid for every
+    prime p.
     """
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
-    if p > 97:
-        raise ValueError("oracle restricted to p <= 97, got %d" % p)
     f = field
     n = f.n
 
@@ -755,52 +592,37 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
         return tuple(v)
 
     dim_b = len(free)
+    b_units = _unit_vectors(dim_b)
 
     def bmul_matrix(bv):
         lifted = lift(bv)
-        cols = [project(amul(lifted, lift(e))) for e in
-                [tuple(int(i == j) for i in range(dim_b)) for j in range(dim_b)]]
+        cols = [project(amul(lifted, lift(e))) for e in b_units]
         return [list(col) for col in zip(*cols)]
 
-    frob_b_cols = [project(apow(lift(tuple(int(i == j) for i in range(dim_b))), p))
-                   for j in range(dim_b)]
+    frob_b_cols = [project(apow(lift(e), p)) for e in b_units]
     frob_b = [list(col) for col in zip(*frob_b_cols)]
     fixed = _nullspace_modp(
         [[(frob_b[i][j] - int(i == j)) % p for j in range(dim_b)]
          for i in range(dim_b)], p)
     g = len(fixed)
 
-    comps = [[tuple(int(i == j) for i in range(dim_b)) for j in range(dim_b)]]
+    e_split = max(1, (p - 1) // 2)
+    characters = sorted({0, 1, p - 1})
+    comps = [b_units]
     for fv in fixed:
         if len(comps) == g:
             break
-        mberg = bmul_matrix(fv)
-        refined = []
-        for comp in comps:
-            # coordinates of mberg * v in the comp basis, for v in comp
-            span_cols = [list(v) for v in comp]
-            restricted = []
-            for v in comp:
-                image = [sum(mberg[i][j] * v[j] for j in range(dim_b)) % p
-                         for i in range(dim_b)]
-                sol = _solve_modp(span_cols, image, p)
-                restricted.append(sol)
-            restricted = [list(col) for col in zip(*restricted)]
-            k = len(comp)
-            pieces = []
-            for lam in range(p):
-                shifted = [[(restricted[i][j] - lam * int(i == j)) % p
-                            for j in range(k)] for i in range(k)]
-                for coeffs in _nullspace_modp(shifted, p):
-                    vec = tuple(sum(coeffs[t] * comp[t][i] for t in range(k)) % p
-                                for i in range(dim_b))
-                    pieces.append((lam, vec))
-            by_lam = {}
-            for lam, vec in pieces:
-                by_lam.setdefault(lam, []).append(vec)
-            assert sum(len(v) for v in by_lam.values()) == k
-            refined.extend(by_lam.values())
-        comps = refined
+        mfv = bmul_matrix(fv)
+        lifted = lift(fv)
+        for a in range(p):
+            # once fv is one scalar on every component, no shift of it
+            # separates anything more
+            if len(comps) == g or all(_is_scalar(_restrict_modp(mfv, c, p)) for c in comps):
+                break
+            shifted = (lifted[0] + a,) + lifted[1:]  # fv + a, as gamma_1 = 1
+            mu = bmul_matrix(project(apow(shifted, e_split)))
+            comps = [piece for c in comps
+                     for piece in _eigenspaces_modp(mu, c, characters, p)]
     assert len(comps) == g and sum(len(c) for c in comps) == dim_b
     fs = sorted(len(c) for c in comps)
     assert fs[0] == fs[-1], "non-Galois splitting pattern"
@@ -816,6 +638,42 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
     e_exp = n // (g * res_deg)
     assert e_exp * g * res_deg == n, "incompatible splitting data"
     return _finish_decomposition(f, p, [(P, e_exp) for P in factors])
+
+
+def _restrict_modp(mat, comp, p):
+    """Matrix, in the basis `comp`, of `mat` on the subspace comp spans,
+    which `mat` must leave stable."""
+    dim = len(mat)
+    span_cols = [list(v) for v in comp]
+    cols = [_solve_modp(span_cols,
+                        [sum(mat[i][j] * v[j] for j in range(dim)) % p for i in range(dim)],
+                        p)
+            for v in comp]
+    return [list(row) for row in zip(*cols)]
+
+
+def _is_scalar(m):
+    return all(x == (m[0][0] if i == j else 0)
+               for i, row in enumerate(m) for j, x in enumerate(row))
+
+
+def _eigenspaces_modp(mat, comp, eigenvalues, p):
+    """The nonzero eigenspaces of `mat` on the span of `comp`, for the
+    given eigenvalues, which must exhaust it."""
+    restricted = _restrict_modp(mat, comp, p)
+    k = len(comp)
+    pieces = []
+    for lam in eigenvalues:
+        shifted = [[(restricted[i][j] - lam * int(i == j)) % p for j in range(k)]
+                   for i in range(k)]
+        piece = [tuple(sum(coeffs[t] * comp[t][i] for t in range(k)) % p
+                       for i in range(len(mat)))
+                 for coeffs in _nullspace_modp(shifted, p)]
+        if piece:
+            pieces.append(piece)
+    assert sum(len(piece) for piece in pieces) == k, \
+        "multiplication is not diagonal with eigenvalues %s" % (eigenvalues,)
+    return pieces
 
 
 def _solve_modp(mat_cols_major, rhs, p):

@@ -20,7 +20,10 @@ Quartic (parameters a, b, c, d):
   * a primitive prime above 2 is WR only for (a, b, c, d) = (1, 2, 1, 5).
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .ideal_lattice import (
     IdealLattice,
@@ -145,7 +148,6 @@ def _check_mixed_args(field, q, q2):
         raise ValueError("both divisors must exceed 1")
     if core % q != 0 or core % q2 != 0:
         raise ValueError("divisors must divide m/9 = %d" % core)
-    import math
     if math.gcd(q, q2) != 1:
         raise ValueError("divisors must be coprime")
 
@@ -193,8 +195,12 @@ def quartic_product_wr_predicate(field, d_primes=(), a_primes=()) -> bool:
     p_i, q_j = _product_parts(field, d_primes, a_primes)
     if field.basis_case not in ("IV", "V"):
         return False
-    d = field.d
-    aa = abs(field.a)
+    return _product_inequality(p_i, q_j, abs(field.a), field.d)
+
+
+def _product_inequality(p_i, q_j, aa, d):
+    """p^2 q^2 + q^2 d + 2|a|d <= min of the six competing squared
+    lengths, with p = p_i, q = q_j and |a| = aa."""
     lhs = p_i * p_i * q_j * q_j + q_j * q_j * d + 2 * aa * d
     competitors = (
         16 * q_j * q_j * d,
@@ -338,7 +344,6 @@ def cubic_cases(field):
                 for q2 in _squarefree_divisors(field.m // 9):
                     if q <= 1 or q2 <= 1:
                         continue
-                    import math
                     if math.gcd(q, q2) != 1:
                         continue
                     predicted = cubic_mixed_wr_predicate(field, q, q2)
@@ -355,7 +360,6 @@ def quartic_cases(field):
     """Every certified quartic case for these parameters: all admissible
     products of unique primes above divisors of d and a, plus the
     primitive prime above 2 when one exists."""
-    import itertools
     cases = []
     d_primes = factorize(field.d).primes
     a_primes = tuple(q for q in factorize(abs(field.a)).primes
@@ -386,7 +390,6 @@ def quartic_cases(field):
 
 
 def _product_orbit(field, i_set, j_set):
-    from fractions import Fraction
     p_i, q_j = _product_parts(field, i_set, j_set)
     f = field
     quarter = Fraction(1, 4)
@@ -405,14 +408,7 @@ def _odd_b_reading(field, i_set, j_set):
     if field.d % 4 != 1 or field.b % 2 != 1 or (field.a + field.b) % 4 != 1:
         return False
     p_i, q_j = _product_parts(field, i_set, j_set)
-    d, aa = field.d, abs(field.a)
-    lhs = p_i * p_i * q_j * q_j + q_j * q_j * d + 2 * aa * d
-    competitors = (
-        16 * q_j * q_j * d, 8 * aa * d, 4 * q_j * q_j * d + 4 * aa * d,
-        16 * p_i * p_i * q_j * q_j, 4 * p_i * p_i * q_j * q_j + 4 * aa * d,
-        4 * p_i * p_i * q_j * q_j + 4 * q_j * q_j * d,
-    )
-    return lhs <= min(competitors)
+    return _product_inequality(p_i, q_j, abs(field.a), field.d)
 
 
 def crosscheck_field(field) -> list:

@@ -101,9 +101,8 @@ def test_degree_one_prefilter_is_exact(small_cubic_fields, small_quartic_fields)
         for p in primes_upto(300):
             dec = il.decompose_prime(f, p)
             has_one = any(dec.residue_degree(P) == 1 for P in dec.primes)
-            if p <= 97:
-                oracle = il.stable_subspace_primes(f, p)
-                assert any(oracle.residue_degree(P) == 1 for P in oracle.primes) == has_one
+            oracle = il.stable_subspace_primes(f, p)
+            assert any(oracle.residue_degree(P) == 1 for P in oracle.primes) == has_one
             may = il.may_have_degree_one_prime(f, p)
             if has_one:
                 assert may, (f.key, p)
@@ -209,7 +208,7 @@ def test_quartic_two_odd_disc_inert(quartic_imag):
 
 
 def test_quartic_two_split_case():
-    # d = 17 = 1 mod 8 with odd discriminant goes through the oracle
+    # d = 17 = 1 mod 8 with odd discriminant goes to the splitting engine
     f = QuarticField(1, 4, 1, 17)
     dec = il.decompose_prime_quartic(f, 2)
     assert dec.shape in ("P1*P2", "P1*P2*P3*P4")
@@ -245,15 +244,90 @@ def test_quartic_oracle_agreement_sample(small_quartic_fields):
             assert a.factors == b.factors and a.shape == b.shape, (f.key, p)
 
 
-def test_oracle_rejects_large_p(cubic7):
-    with pytest.raises(ValueError):
-        il.stable_subspace_primes(cubic7, 101)
+def test_index_divisor_witnesses_at_101():
+    # p = 101 divides b (quartic) resp. the index |b|/3 (cubic): both go
+    # to the splitting engine, which has no cap on p
+    f = QuarticField(1, 404, 1, 163217)
+    dec = il.decompose_prime(f, 101)
+    assert dec.shape == "P1*P2*P3*P4"
+    assert [P.norm for P in dec.primes] == [101] * 4
+    g = CubicField(68863)
+    assert g.index == 101
+    dec = il.decompose_prime(g, 101)
+    assert dec.shape == "P1*P2*P3"
+    assert [P.norm for P in dec.primes] == [101] * 3
+    for P in dec.primes:
+        assert P.validate_ideal()
 
 
-def test_literal_subspace_scan_tiny_p(cubic7, quartic_even):
+def _sympy_ef_pairs(f, p):
+    """Sorted (e, f) above p in a quartic field, from sympy alone: by
+    Kummer-Dedekind, factoring mod p the characteristic polynomial of an
+    integral element theta with p prime to [O : Z[theta]]; when no small
+    theta qualifies (p a common index divisor, so p < 4), by sympy's
+    prime_decomp on the integral basis.  prime_decomp alone is not enough
+    with sympy 1.14: its maximal order of (-5,5,3,34) has discriminant
+    44719 instead of 251545600, and even given the integral basis its
+    splitting step raises on 11 of the 18 p = 5 cases below."""
+    from sympy import Matrix, Poly, Rational, ZZ, resultant, symbols
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import hermite_normal_form
+    from sympy.polys.numberfields.modules import PowerBasis
+    from sympy.polys.numberfields.primes import prime_decomp
+
+    x, y = symbols("x y")
+    T = Poly([1] + list(reversed(f.df)), y, domain=ZZ)
+    powers = [f.one]
+    for _ in range(3):
+        powers.append(f.mul(powers[-1], f.beta))
+
+    def rat(q):
+        return Rational(q.numerator, q.denominator)
+
+    pw = Matrix(4, 4, lambda i, j: rat(powers[j][i]))
+    basis = [pw.solve(Matrix([rat(c) for c in w])) for w in f.integral_basis]
+    for coeffs in itertools.product(range(3), repeat=3):
+        h = sum(c * basis[k + 1][j] * y ** j for k, c in enumerate(coeffs) for j in range(4))
+        chi = Poly(resultant(T.as_expr(), x - h, y), x)
+        disc = chi.discriminant()
+        if disc == 0:
+            continue
+        assert disc % f.disc == 0
+        if disc // f.disc % p:
+            _, factors = Poly(chi, x, modulus=p).factor_list()
+            return sorted((e, g.degree()) for g, e in factors)
+    assert p < 4
+    den = math.lcm(*[int(c.q) for col in basis for c in col])
+    mat = DomainMatrix.from_Matrix(Matrix.hstack(*basis) * den).convert_to(ZZ)
+    ZK = PowerBasis(T).submodule_from_matrix(hermite_normal_form(mat), denom=den)
+    return sorted((P.e, P.f) for P in prime_decomp(p, T, ZK=ZK, dK=f.disc))
+
+
+def test_engine_matches_sympy_on_quartic_cases():
+    pytest.importorskip("sympy")
+    cases = [(QuarticField(*t), q) for t in quartic_param_box(5, 40)
+             for q in factorize(t[1]).primes if q != 2]
+    # p = 2 in the three classes without a closed form: d = 5 mod 8 with
+    # b even and a + b = 3 mod 4, then d = 1 mod 8 with even and with odd
+    # discriminant
+    for t in ((-3, 2, 1, 5), (1, 2, 1, 5), (-5, 1, 4, 17), (1, 1, 4, 17),
+              (1, 4, 1, 17), (-3, 4, 1, 17)):
+        cases.append((QuarticField(*t), 2))
+    cases.append((QuarticField(1, 404, 1, 163217), 101))
+    assert len(cases) == 47
+    for f, p in cases:
+        dec = il.decompose_prime(f, p)
+        got = sorted((e, dec.residue_degree(P)) for P, e in dec.factors)
+        assert got == _sympy_ef_pairs(f, p), (f.key, p)
+
+
+def test_literal_subspace_scan_tiny_p(cubic7, cubic91, quartic_even):
     # brute-force check of the oracle on tiny p: every proper nonzero
-    # multiplication-stable subspace of O/pO sits inside a reported prime
-    for f, p in ((cubic7, 2), (cubic7, 3), (quartic_even, 2), (quartic_even, 3)):
+    # multiplication-stable subspace of O/pO sits inside a reported prime;
+    # the last four pairs are decomposed by the splitting engine itself
+    for f, p in ((cubic7, 2), (cubic7, 3), (quartic_even, 2), (quartic_even, 3),
+                 (QuarticField(1, 3, 2, 13), 3), (QuarticField(-1, 3, 2, 13), 3),
+                 (QuarticField(1, 4, 1, 17), 2), (cubic91, 2)):
         n = f.n
         dec = il.stable_subspace_primes(f, p)
         prime_subspaces = []
@@ -271,17 +345,17 @@ def test_literal_subspace_scan_tiny_p(cubic7, quartic_even):
             base = dim_vecs
             if not any(base):
                 continue
-            # cyclic submodule generated by base
+            # cyclic submodule generated by base: the F_p-span of base * e_k
+            gens = [tuple(x % p for x in f.imul(base, u)) for u in units]
             span = {tuple([0] * n)}
-            frontier = [base]
+            frontier = list(span)
             while frontier:
                 v = frontier.pop()
-                if v in span:
-                    continue
-                span.add(v)
-                for u in units:
-                    frontier.append(tuple(x % p for x in f.imul(v, u)))
-                frontier.append(tuple((a + b) % p for a, b in zip(v, base)))
+                for g in gens:
+                    w = tuple((a + b) % p for a, b in zip(v, g))
+                    if w not in span:
+                        span.add(w)
+                        frontier.append(w)
             if len(span) == p ** n:
                 continue
             assert any(span <= ps for ps in prime_subspaces), (f.key, p, base)

@@ -49,6 +49,19 @@ def test_decompose_examples(capsys):
     assert "shape inert" in out
 
 
+def test_index_divisor_witnesses_decompose_and_scan(capsys):
+    # 101 divides b = 404 and the cubic index 68863's |b|/3; both fields
+    # need the splitting engine at p = 101
+    code, out = run(capsys, ["decompose", "--field", "quartic:1,404,1,163217",
+                             "--prime", "101", "--oracle"])
+    assert code == 0
+    assert "shape P1*P2*P3*P4" in out and "oracle agreement: yes" in out
+    for spec in ("cubic:68863", "quartic:1,404,1,163217"):
+        code, out = run(capsys, ["scan", "--fields", spec, "--norm-bound", "120"])
+        assert code == 0, out
+        assert "failures=0" in out.splitlines()[-1]
+
+
 def test_decompose_bad_prime_exits_2(capsys):
     code = cli.main(["decompose", "--field", "cubic:7", "--prime", "6"])
     capsys.readouterr()
