@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .numtheory import is_prime, is_quadratic_residue, primes_upto, sqrt_mod, x_power_mod
+from .numtheory import (is_prime, is_quadratic_residue, primes_upto, roots_mod, sqrt_mod,
+                        x_power_mod)
 
 
 class IdealLattice:
@@ -258,22 +259,27 @@ def decompose_prime_cubic(field, p: int) -> PrimeDecomposition:
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
     f = field
-    m = f.m
     c0, c1, c2 = f.df
-    if m % p == 0:
+
+    def check_roots(roots):
+        assert all((((r + c2) * r + c1) * r + c0) % p == 0 for r in roots), \
+            "%s is not a root of the defining cubic mod %d" % (roots, p)
+        return roots
+
+    if f.m % p == 0:
         # df is a cube mod p; build the prime from the triple root (it is
         # -(p-1)/3 mod p when 3 does not divide m, 0 for p | m/9, -1 for p=3)
-        roots = [r for r in range(p) if (((r + c2) * r + c1) * r + c0) % p == 0]
+        roots = check_roots(roots_mod(f.df, p))
         assert len(roots) == 1, "ramified prime %d should give a triple root" % p
         P = from_generators(f, [f.from_int(p),
                                 f.sub(f.alpha, f.from_int(roots[0]))])
         assert P.norm == p
         return _finish_decomposition(f, p, [(P, 3)])
-    if (f.b // 3) % p == 0:
+    if f.index % p == 0:
         # p divides the index of Z[alpha]; root-finding in df mod p is not
         # conclusive there
         return stable_subspace_primes(f, p)
-    roots = [r for r in range(p) if (((r + c2) * r + c1) * r + c0) % p == 0]
+    roots = check_roots(roots_mod(f.df, p))
     if not roots:
         return _finish_decomposition(f, p, [(principal_integer(f, p), 1)])
     assert len(roots) == 3, "unexpected partial split of a Galois cubic at %d" % p
@@ -757,3 +763,39 @@ def enumerate_primitive_ideals(field, norm_bound: int) -> list:
     results.sort(key=lambda t: (t[1], t[0].hnf))
     assert len({lat.hnf for lat, _ in results}) == len(results)
     return [lat for lat, _ in results]
+
+
+def sigma_orbits(ideals) -> list:
+    """The Galois orbits {I, sigma(I), sigma^2(I), ...} of a list of ideals.
+
+    Precondition: the list is closed under sigma and sorted by (norm, HNF),
+    as `enumerate_primitive_ideals` returns it.  Orbits come in the order
+    of their first members in the list, each a list that starts at its
+    least (norm, HNF) member and follows sigma from there.  Raises
+    ValueError, naming the field, norm and HNF, when a sigma-image is
+    missing from the list or an orbit's length does not divide the degree.
+    """
+    by_hnf = {ideal.hnf: ideal for ideal in ideals}
+    seen = set()
+    orbits = []
+    for head in ideals:
+        if head.hnf in seen:
+            continue
+        n = head.field.n
+        orbit = [head]
+        image = head.apply_sigma()
+        while image.hnf != head.hnf and len(orbit) <= n:
+            member = by_hnf.get(image.hnf)
+            if member is None:
+                raise ValueError(
+                    "%s: sigma-image %s of the ideal of norm %d with HNF %s is "
+                    "not in the list" % (head.field.key, image.hnf, head.norm, head.hnf))
+            orbit.append(member)
+            image = member.apply_sigma()
+        if n % len(orbit):  # also when the walk ran past n steps
+            raise ValueError(
+                "%s: the sigma-orbit of the ideal of norm %d with HNF %s does not "
+                "close in a divisor of %d steps" % (head.field.key, head.norm, head.hnf, n))
+        seen.update(member.hnf for member in orbit)
+        orbits.append(orbit)
+    return orbits

@@ -68,11 +68,13 @@ def _matrix_of(gram):
 
 
 def _integral(gram):
-    """(D * gram, D) for the lcm D of the denominators of the exact entries."""
-    rows = [[Fraction(x) for x in row] for row in _matrix_of(gram)]
-    scale = math.lcm(*[x.denominator for row in rows for x in row])
-    return [[x.numerator * scale // x.denominator for x in row]
-            for row in rows], scale
+    """(D * gram, D) for the lcm D of the denominators of the exact entries.
+
+    `as_integer_ratio` is exact on ints, Fractions and floats alike; an
+    int gives (x, 1) with no Fraction built."""
+    rows = [[x.as_integer_ratio() for x in row] for row in _matrix_of(gram)]
+    scale = math.lcm(*[den for row in rows for _, den in row])
+    return [[num * (scale // den) for num, den in row] for row in rows], scale
 
 
 def lll_reduce_gram(gram):

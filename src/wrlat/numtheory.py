@@ -2,8 +2,9 @@
 
 Factorization (trial division + Brent's rho, deterministic Miller-Rabin
 certificates for the 64-bit range), quadratic residues and modular square
-roots, cyclic-cubic conductor parameters, and representations by the norm
-form x^2 - x*y + y^2 of the Eisenstein integers.
+roots, powers and roots of polynomials mod p, cyclic-cubic conductor
+parameters, and representations by the norm form x^2 - x*y + y^2 of the
+Eisenstein integers.
 """
 
 import math
@@ -201,9 +202,10 @@ def sqrt_mod(a: int, p: int) -> int:
     return min(x, p - x)
 
 
-def x_power_mod(df, e, p):
-    """x^e mod (df, p) as len(df) ascending coefficients in [0, p); df is
-    monic of degree len(df) >= 2, ascending, with its leading 1 left out."""
+def x_power_mod(df, e, p, shift=0):
+    """(x + shift)^e mod (df, p) as len(df) ascending coefficients in
+    [0, p); df is monic of degree len(df) >= 2, ascending, with its
+    leading 1 left out."""
     n = len(df)
     df = [c % p for c in df]
 
@@ -221,13 +223,79 @@ def x_power_mod(df, e, p):
         return [x % p for x in prod[:n]]
 
     out = [1] + [0] * (n - 1)
-    base = [0, 1] + [0] * (n - 2)
+    base = [shift % p, 1] + [0] * (n - 2)
     while e:
         if e & 1:
             out = mulmod(out, base)
         base = mulmod(base, base)
         e >>= 1
     return out
+
+
+def _trim(u):
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def _poly_divmod(u, v, p):
+    """Quotient and remainder of u by v != 0 over F_p.  Polynomials are
+    ascending coefficient lists in [0, p), leading coefficient included,
+    with no trailing zeros; [] is zero."""
+    u = list(u)
+    inv = pow(v[-1], -1, p)
+    q = [0] * max(len(u) - len(v) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = u[k + len(v) - 1] * inv % p
+        q[k] = c
+        if c:
+            for i, vi in enumerate(v):
+                u[k + i] = (u[k + i] - c * vi) % p
+    return q, _trim(u[:len(v) - 1])
+
+
+def _poly_gcd(u, v, p):
+    """Monic gcd over F_p of u != 0 and v, in the form of `_poly_divmod`."""
+    while v:
+        u, v = v, _poly_divmod(u, v, p)[1]
+    inv = pow(u[-1], -1, p)
+    return [c * inv % p for c in u]
+
+
+def roots_mod(df, p):
+    """The distinct roots in [0, p) of df mod the prime p, ascending; df as
+    in `x_power_mod`.
+
+    g = gcd(x^p - x, df) is the product of the distinct linear factors of
+    df mod p.  It is split by equal degree (Cantor-Zassenhaus; Cohen, GTM
+    138, sec. 3.4): (x + a)^((p-1)/2) - 1 vanishes at the roots r with
+    r + a a nonzero square, so its gcd with a factor of g splits that
+    factor unless all its roots fall on one side.  For odd p some a in F_p
+    separates any two roots, and a = 0 or 1 usually does, so the work is
+    O(log p) multiplications mod df.  F_2 is tested point by point.
+    """
+    if p == 2:  # r^n = r on F_2
+        return [r for r in range(2)
+                if (r + sum(c * r ** k for k, c in enumerate(df))) % 2 == 0]
+    xp = x_power_mod(df, p, p)
+    xp[1] = (xp[1] - 1) % p
+    pieces = [_poly_gcd([c % p for c in df] + [1], _trim(xp), p)]
+    roots = []
+    while pieces:
+        g = pieces.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            for a in range(p):
+                h = x_power_mod(g[:-1], (p - 1) // 2, p, a)
+                h[0] = (h[0] - 1) % p
+                d = _poly_gcd(g, _trim(h), p)
+                if 1 < len(d) < len(g):
+                    break
+            else:
+                raise AssertionError("no shift splits %s mod %d" % (g, p))
+            pieces += [d, _poly_divmod(g, d, p)[0]]
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .cubic_field import CubicField
 from .quartic_field import QuarticField, quartic_param_box
-from .ideal_lattice import decompose_prime, enumerate_primitive_ideals, stable_subspace_primes
+from .ideal_lattice import (decompose_prime, enumerate_primitive_ideals, sigma_orbits,
+                            stable_subspace_primes)
 from .lattice_reduce import wr_report
 from .numtheory import enumerate_conductors
 from .wr_certify import crosscheck_field, cubic_cases, quartic_cases
@@ -75,24 +76,31 @@ def _predicate_map(field) -> dict:
 
 
 def scan_field(field_id: str, norm_bound: int) -> list:
-    """WrRecord dicts for every primitive ideal of norm <= norm_bound."""
+    """WrRecord dicts for every primitive ideal of norm <= norm_bound.
+
+    sigma maps each ideal isometrically onto its image, so the lattice is
+    reduced once per sigma-orbit, on the orbit's least member, and the
+    minimum and the WR flags are copied to the others.  That relies on the
+    enumerated list being closed under sigma, which `sigma_orbits` checks.
+    """
     field = parse_field_id(field_id)
     predicates = _predicate_map(field)
+    n = field.n
     records = []
-    for ideal in enumerate_primitive_ideals(field, norm_bound):
-        rep = wr_report(ideal)
-        n = field.n
-        records.append({
-            "field_id": field_id,
-            "ideal_norm": ideal.norm,
-            "hnf": [ideal.hnf[i][j] for i in range(n) for j in range(n)],
-            "minimum": _rational_str(rep.minimum),
-            "wr": rep.is_wr,
-            "strongly_wr": rep.is_strongly_wr,
-            "orthogonal": rep.is_orthogonal_minimal_basis,
-            "predicate": predicates.get(ideal.hnf),
-            "divides_disc": abs(field.disc) % ideal.norm == 0,
-        })
+    for orbit in sigma_orbits(enumerate_primitive_ideals(field, norm_bound)):
+        rep = wr_report(orbit[0])
+        for ideal in orbit:
+            records.append({
+                "field_id": field_id,
+                "ideal_norm": ideal.norm,
+                "hnf": [ideal.hnf[i][j] for i in range(n) for j in range(n)],
+                "minimum": _rational_str(rep.minimum),
+                "wr": rep.is_wr,
+                "strongly_wr": rep.is_strongly_wr,
+                "orthogonal": rep.is_orthogonal_minimal_basis,
+                "predicate": predicates.get(ideal.hnf),
+                "divides_disc": abs(field.disc) % ideal.norm == 0,
+            })
     records.sort(key=lambda r: (r["ideal_norm"], r["hnf"]))
     return records
 

@@ -1,12 +1,14 @@
 import itertools
 import math
+import re
 
 import pytest
 
 from wrlat import ideal_lattice as il
 from wrlat import linalg
 from wrlat.cubic_field import CubicField
-from wrlat.numtheory import factorize, is_quadratic_residue, primes_upto
+from wrlat.lattice_reduce import wr_report
+from wrlat.numtheory import factorize, is_quadratic_residue, primes_upto, roots_mod
 from wrlat.quartic_field import QuarticField
 from conftest import quartic_param_box
 
@@ -180,6 +182,28 @@ def test_cubic_oracle_agreement(small_cubic_fields):
             a = il.decompose_prime_cubic(f, p)
             b = il.stable_subspace_primes(f, p)
             assert a.factors == b.factors and a.shape == b.shape
+
+
+def test_cubic_roots_match_literal_scan(small_cubic_fields):
+    # the roots that build the closed-form primes, against evaluating the
+    # defining cubic at every residue, wherever the closed forms apply
+    for f in small_cubic_fields:
+        c0, c1, c2 = f.df
+        for p in primes_upto(2000):
+            if f.index % p == 0:
+                continue
+            scan = [r for r in range(p) if (((r + c2) * r + c1) * r + c0) % p == 0]
+            assert roots_mod(f.df, p) == scan, (f.key, p)
+            assert len(scan) in ((1,) if f.m % p == 0 else (0, 3))
+
+
+@pytest.mark.parametrize("p,shape", [(1000003, "inert"), (999983, "inert"),
+                                     (1000033, "P1*P2*P3")])
+def test_cubic_decomposition_near_a_million(cubic7, p, shape):
+    dec = il.decompose_prime_cubic(cubic7, p)
+    assert dec.shape == shape
+    ref = il.stable_subspace_primes(cubic7, p)
+    assert dec.factors == ref.factors and dec.shape == ref.shape
 
 
 def test_quartic_decomposition_examples(quartic_even):
@@ -499,3 +523,49 @@ def test_enumerate_primitive_ideals(cubic7, quartic_even):
 def test_enumerate_rejects_bad_bound(cubic7):
     with pytest.raises(ValueError):
         il.enumerate_primitive_ideals(cubic7, 0)
+
+
+@pytest.mark.parametrize("field", [CubicField(91), QuarticField(1, 2, 1, 5),
+                                   QuarticField(-1, 2, 1, 5), QuarticField(1, 1, 1, 2)],
+                         ids=lambda f: f.key)
+def test_sigma_orbits_share_wr_report(field):
+    # sigma is an isometry of every ideal lattice (for a < 0 the form uses
+    # tau = sigma^2, which commutes with sigma), so every member of an orbit
+    # must report what its head reports
+    ideals = il.enumerate_primitive_ideals(field, 600)
+    orbits = il.sigma_orbits(ideals)
+    members = [ideal for orbit in orbits for ideal in orbit]
+    assert sorted(members, key=lambda L: (L.norm, L.hnf)) == ideals
+    assert [orbit[0] for orbit in orbits] == sorted(
+        (orbit[0] for orbit in orbits), key=lambda L: (L.norm, L.hnf))
+    assert any(len(orbit) == field.n for orbit in orbits)
+
+    def summary(rep):
+        return (rep.minimum, rep.count, rep.rank, rep.is_wr, rep.is_strongly_wr,
+                rep.is_orthogonal_minimal_basis)
+
+    for orbit in orbits:
+        assert field.n % len(orbit) == 0
+        assert orbit[0] == min(orbit, key=lambda L: (L.norm, L.hnf))
+        for k, ideal in enumerate(orbit):
+            assert ideal.apply_sigma() == orbit[(k + 1) % len(orbit)]
+        head = summary(wr_report(orbit[0]))
+        for ideal in orbit[1:]:
+            assert summary(wr_report(ideal)) == head, (field.key, ideal.hnf)
+
+    orbit = next(orbit for orbit in orbits if len(orbit) == field.n)
+    for victim in orbit:
+        rest = [ideal for ideal in ideals if ideal != victim]
+        with pytest.raises(ValueError, match=re.escape(str(victim.hnf))) as err:
+            il.sigma_orbits(rest)
+        assert field.key in str(err.value) and str(victim.norm) in str(err.value)
+
+
+def test_sigma_orbits_rejects_orbit_length_not_dividing_degree(quartic_even, monkeypatch):
+    # a 3-cycle cannot be a sigma-orbit in a quartic field
+    ideals = il.enumerate_primitive_ideals(quartic_even, 30)[:3]
+    cycle = {a.hnf: b for a, b in zip(ideals, ideals[1:] + ideals[:1])}
+    monkeypatch.setattr(il.IdealLattice, "apply_sigma", lambda self: cycle[self.hnf])
+    with pytest.raises(ValueError, match=re.escape(str(ideals[0].hnf))) as err:
+        il.sigma_orbits(ideals)
+    assert quartic_even.key in str(err.value) and "divisor of 4" in str(err.value)

@@ -85,15 +85,44 @@ def test_sqrt_mod_roundtrip(p, x):
 
 
 def test_x_power_mod_matches_repeated_multiplication():
-    # x^e mod (df, p) against e successive multiplications by x
-    for df in ((-1, -2, 1), (125, 0, -20, 0), (3, 5, 0, 7)):
+    # (x + shift)^e mod (df, p) against e successive multiplications by x + shift
+    for df in ((-1, -2, 1), (125, 0, -20, 0), (3, 5, 0, 7), (4, 1)):
         n = len(df)
         for p in (2, 3, 5, 11, 101):
-            cur = [1] + [0] * (n - 1)
-            for e in range(60):
-                assert nt.x_power_mod(df, e, p) == cur
-                top = cur[-1]
-                cur = [(lo - top * c) % p for lo, c in zip([0] + cur[:-1], df)]
+            for shift in (0, 1, -3):
+                cur = [1] + [0] * (n - 1)
+                for e in range(60):
+                    assert nt.x_power_mod(df, e, p, shift) == cur
+                    top = cur[-1]
+                    cur = [(lo - top * c + shift * hi) % p
+                           for lo, c, hi in zip([0] + cur[:-1], df, cur)]
+
+
+def test_roots_mod_matches_scan(rng):
+    # every polynomial shape: irreducible, partly split, repeated roots,
+    # fully split; against evaluation at every residue
+    for p in nt.primes_upto(130):
+        for _ in range(12):
+            n = rng.choice((2, 3, 4))
+            df = [rng.randrange(-60, 60) for _ in range(n)]
+            scan = [r for r in range(p)
+                    if (r ** n + sum(c * r ** k for k, c in enumerate(df))) % p == 0]
+            assert nt.roots_mod(df, p) == scan, (df, p)
+        r1, r2, r3 = (rng.randrange(p) for _ in range(3))
+        df = (-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -(r1 + r2 + r3))
+        assert nt.roots_mod(df, p) == sorted({r1, r2, r3})
+
+
+def test_roots_mod_large_prime():
+    # (x - 1)(x - 2)(x + 3) splits at every prime; x^2 - 2 has roots iff
+    # p = +-1 mod 8, and x^2 + 1 iff p = 1 mod 4
+    p = 1000003
+    assert nt.roots_mod((6, -7, 0), p) == [1, 2, p - 3]
+    assert nt.roots_mod((-2, 0), p) == []
+    assert nt.roots_mod((1, 0), p) == []
+    q = 1000033
+    r = nt.roots_mod((1, 0), q)
+    assert len(r) == 2 and all((x * x + 1) % q == 0 for x in r)
 
 
 def test_conductor_params_examples():
