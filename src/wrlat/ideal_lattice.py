@@ -10,13 +10,15 @@ decompositions of both field families, the explicit integral bases of the
 ramified-product ideals, and one splitting engine
 (`stable_subspace_primes`) that recovers the primes above any prime p as
 the maximal multiplication-stable subspaces of O/pO: it takes the radical
-over F_p and splits the semisimple quotient by equal-degree
-(Cantor-Zassenhaus) splitting.  Primes with a closed form (ramified
-primes, primes prime to the index, and in the quartic family p | d, p | a,
-p | c and the stated bases above 2) are built from generators; the others
-(p dividing the cubic index, odd p | b and three classes of p = 2 in the
-quartic family) go to the engine, which also serves as the independent
-oracle for every closed form.  No prime is out of range.
+over F_p, and splits the semisimple quotient by the eigenspaces of at most
+g Frobenius-fixed elements, whose eigenvalues are the roots (`roots_mod`)
+of their minimal polynomials; no loop runs over F_p.  Primes with a
+closed form (ramified primes, primes prime to the index, and in the
+quartic family p | d, p | a, p | c and the stated bases above 2) are
+built from generators; the others (p dividing the cubic index, odd p | b
+and three classes of p = 2 in the quartic family) go to the engine, which
+also serves as the independent oracle for every closed form.  No prime is
+out of range.
 """
 
 import math
@@ -539,26 +541,28 @@ def _matpow_modp(m, e, p):
     return out
 
 
-def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
-    """Primes above p as maximal multiplication-stable subspaces of O/pO.
+def _min_poly_modp(mat, v, p):
+    """Monic minimal polynomial over F_p of `mat` on the vector v, in the
+    form of `x_power_mod` (ascending, leading 1 left out): the first linear
+    dependency among v, mat v, mat^2 v, ..."""
+    dim = len(mat)
+    krylov = [list(v)]
+    while True:
+        w = krylov[-1]
+        krylov.append([sum(mat[i][j] * w[j] for j in range(dim)) % p for i in range(dim)])
+        # the earlier vectors are independent, so the kernel is at most one
+        # vector, normalised to 1 on the newest
+        kernel = _nullspace_modp([list(row) for row in zip(*krylov)], p)
+        if kernel:
+            return list(kernel[0][:-1])
 
-    The algebra A = O/pO is split exactly: the radical is the kernel of
-    the p^e-power map (additive in characteristic p), and the semisimple
-    quotient B = A/rad is a product of g residue fields, whose
-    Frobenius-fixed elements form F_p^g.  A fixed element fv acts on the
-    i-th field as a scalar lam_i, so u = (fv + a)^((p-1)/2) acts there as
-    the quadratic character of lam_i + a, one of 0, 1, p-1, and the
-    eigenspaces of u split B along the fields (equal-degree splitting,
-    Cantor-Zassenhaus; Cohen, GTM 138, sec. 3.4).  Running a over F_p for
-    each fixed basis element separates every two fields that fv
-    separates (a = -lam_i does); the loop stops once g components remain
-    or fv is one scalar on each, and a = 0 or 1 usually suffices.
-    Exponents follow from the product identity, which is verified.
-    Independent of every closed-form decomposition, and valid for every
-    prime p.
-    """
-    if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
+
+def _semisimple_quotient(field, p):
+    """B = (O/pO)/rad over F_p, with the data the splitting engine needs:
+    (rad, lift, dim_b, fixed, bmul_matrix, one_b).  rad spans the radical
+    in O/pO; lift maps B-coordinates to O/pO; fixed spans the
+    Frobenius-fixed elements of B (F_p^g); bmul_matrix(bv) is the matrix
+    of multiplication by bv on B; one_b is 1 in B-coordinates."""
     f = field
     n = f.n
 
@@ -575,7 +579,8 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
             k >>= 1
         return out
 
-    frob = [list(col) for col in zip(*[apow(e, p) for e in _unit_vectors(n)])]
+    frob_cols = [apow(e, p) for e in _unit_vectors(n)]
+    frob = [list(col) for col in zip(*frob_cols)]
     e_pow = 1
     while p ** e_pow < n:
         e_pow += 1
@@ -605,30 +610,51 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
         cols = [project(amul(lifted, lift(e))) for e in b_units]
         return [list(col) for col in zip(*cols)]
 
-    frob_b_cols = [project(apow(lift(e), p)) for e in b_units]
-    frob_b = [list(col) for col in zip(*frob_b_cols)]
+    # lift(e_c) is the unit vector at free[c], whose p-th power in O/pO is
+    # column free[c] of frob
+    frob_b = [list(col) for col in zip(*[project(frob_cols[c]) for c in free])]
     fixed = _nullspace_modp(
         [[(frob_b[i][j] - int(i == j)) % p for j in range(dim_b)]
          for i in range(dim_b)], p)
-    g = len(fixed)
+    one_b = project(tuple(int(i == 0) for i in range(n)))
+    return rad, lift, dim_b, fixed, bmul_matrix, one_b
 
-    e_split = max(1, (p - 1) // 2)
-    characters = sorted({0, 1, p - 1})
-    comps = [b_units]
+
+def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
+    """Primes above p as maximal multiplication-stable subspaces of O/pO.
+
+    The algebra A = O/pO is split exactly: the radical is the kernel of
+    the p^e-power map (additive in characteristic p), and the semisimple
+    quotient B = A/rad is a product of g residue fields, whose
+    Frobenius-fixed elements form F_p^g.  A fixed element fv acts on the
+    i-th field as a scalar lam_i in F_p, so its minimal polynomial, the
+    first linear dependency among 1, fv, fv^2, ... in B, is the product of
+    x - lam over the distinct lam_i and splits over F_p.  `roots_mod`
+    finds those lam (equal-degree splitting, Cantor-Zassenhaus; Cohen,
+    GTM 138, sec. 3.4), and the eigenspaces of multiplication by fv for
+    them refine every component.  The fixed basis elements separate all g
+    fields, so at most g of them are used, and no loop runs over F_p.
+    Exponents follow from the product identity, which is verified.
+    Independent of every closed-form decomposition, and valid for every
+    prime p.
+    """
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
+    f = field
+    n = f.n
+    rad, lift, dim_b, fixed, bmul_matrix, one_b = _semisimple_quotient(f, p)
+    g = len(fixed)
+    comps = [_unit_vectors(dim_b)]
     for fv in fixed:
         if len(comps) == g:
             break
         mfv = bmul_matrix(fv)
-        lifted = lift(fv)
-        for a in range(p):
-            # once fv is one scalar on every component, no shift of it
-            # separates anything more
-            if len(comps) == g or all(_is_scalar(_restrict_modp(mfv, c, p)) for c in comps):
-                break
-            shifted = (lifted[0] + a,) + lifted[1:]  # fv + a, as gamma_1 = 1
-            mu = bmul_matrix(project(apow(shifted, e_split)))
-            comps = [piece for c in comps
-                     for piece in _eigenspaces_modp(mu, c, characters, p)]
+        mpoly = _min_poly_modp(mfv, one_b, p)
+        if len(mpoly) < 2:  # fv is a scalar and separates nothing
+            continue
+        # exhaustive eigenspaces certify that fv is diagonal with these roots
+        comps = [piece for c in comps
+                 for piece in _eigenspaces_modp(mfv, c, roots_mod(mpoly, p), p)]
     assert len(comps) == g and sum(len(c) for c in comps) == dim_b
     fs = sorted(len(c) for c in comps)
     assert fs[0] == fs[-1], "non-Galois splitting pattern"
@@ -656,11 +682,6 @@ def _restrict_modp(mat, comp, p):
                         p)
             for v in comp]
     return [list(row) for row in zip(*cols)]
-
-
-def _is_scalar(m):
-    return all(x == (m[0][0] if i == j else 0)
-               for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def _eigenspaces_modp(mat, comp, eigenvalues, p):

@@ -254,6 +254,26 @@ def _poly_divmod(u, v, p):
     return q, _trim(u[:len(v) - 1])
 
 
+def _poly_mul(u, v, p):
+    """u * v over F_p, in the form of `_poly_divmod`."""
+    out = [0] * max(len(u) + len(v) - 1, 0)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                out[i + j] += ui * vj
+    return _trim([x % p for x in out])
+
+
+def _poly_sub(u, v, p):
+    """u - v over F_p, in the form of `_poly_divmod`."""
+    out = [0] * max(len(u), len(v))
+    for i, x in enumerate(u):
+        out[i] = x
+    for i, x in enumerate(v):
+        out[i] -= x
+    return _trim([x % p for x in out])
+
+
 def _poly_gcd(u, v, p):
     """Monic gcd over F_p of u != 0 and v, in the form of `_poly_divmod`."""
     while v:
@@ -272,29 +292,42 @@ def roots_mod(df, p):
     r + a a nonzero square, so its gcd with a factor of g splits that
     factor unless all its roots fall on one side.  For odd p some a in F_p
     separates any two roots, and a = 0 or 1 usually does, so the work is
-    O(log p) multiplications mod df.  F_2 is tested point by point.
+    O(log p) multiplications mod df.  h = x^((p-1)/2) mod df is computed
+    once: it gives x^p = x h^2, and reduced mod g it is the a = 0 split.
+    Quadratic pieces x^2 + bx + c are solved as (-b +- sqrt(b^2 - 4c))/2.
+    F_2 is tested point by point.
     """
     if p == 2:  # r^n = r on F_2
         return [r for r in range(2)
                 if (r + sum(c * r ** k for k, c in enumerate(df))) % 2 == 0]
-    xp = x_power_mod(df, p, p)
-    xp[1] = (xp[1] - 1) % p
-    pieces = [_poly_gcd([c % p for c in df] + [1], _trim(xp), p)]
+    half = (p - 1) // 2
+    inv2 = half + 1
+    monic = [c % p for c in df] + [1]
+    h = _trim(x_power_mod(df, half, p))
+    xp = _poly_divmod(_trim([0] + _poly_mul(h, h, p)), monic, p)[1]  # x^p = x h^2
+    # each piece carries x^((p-1)/2) modulo a multiple of it, or None
+    pieces = [(_poly_gcd(monic, _poly_sub(xp, [0, 1], p), p), h)]
     roots = []
     while pieces:
-        g = pieces.pop()
+        g, h = pieces.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
-        elif len(g) > 2:
+        elif len(g) == 3:
+            c, b = g[0], g[1]
+            s = sqrt_mod(b * b - 4 * c, p)
+            roots += [(s - b) * inv2 % p, (-s - b) * inv2 % p]
+        elif len(g) > 3:
             for a in range(p):
-                h = x_power_mod(g[:-1], (p - 1) // 2, p, a)
-                h[0] = (h[0] - 1) % p
-                d = _poly_gcd(g, _trim(h), p)
+                if a == 0 and h is not None:
+                    ha = _poly_divmod(h, g, p)[1]
+                else:
+                    ha = x_power_mod(g[:-1], half, p, a)
+                d = _poly_gcd(g, _poly_sub(ha, [1], p), p)
                 if 1 < len(d) < len(g):
                     break
             else:
                 raise AssertionError("no shift splits %s mod %d" % (g, p))
-            pieces += [d, _poly_divmod(g, d, p)[0]]
+            pieces += [(d, None), (_poly_divmod(g, d, p)[0], None)]
     return sorted(roots)
 
 

@@ -2,8 +2,8 @@
 well-roundedness, run the certified cross-checks, and hunt for
 counterexamples to the odd-discriminant norm-divisibility conjecture.
 
-Exit codes: 0 success, 1 a scan found a failure or counterexample,
-2 usage error.
+Exit codes: 0 success, 1 a scan found a failure or counterexample, or a
+decomposition failed inside the library, 2 bad input.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .quartic_field import QuarticField, quartic_param_box
 from .ideal_lattice import (decompose_prime, enumerate_primitive_ideals, sigma_orbits,
                             stable_subspace_primes)
 from .lattice_reduce import wr_report
-from .numtheory import enumerate_conductors
+from .numtheory import enumerate_conductors, is_prime
 from .wr_certify import crosscheck_field, cubic_cases, quartic_cases
 
 CSV_COLUMNS = ["field_id", "ideal_norm", "hnf", "minimum", "wr",
@@ -220,18 +220,28 @@ def cmd_construct(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    # bad input (field id, non-prime p) raises ValueError: exit 2 in main
     field = parse_field_id(args.field)
-    dec = decompose_prime(field, args.prime)
-    print("%s p=%d shape %s" % (field.key, args.prime, dec.shape))
-    for P, e in dec.factors:
-        rows = ["[" + " ".join(str(x) for x in row) + "]" for row in P.hnf]
-        print("  norm %d exponent %d hnf %s" % (P.norm, e, " ".join(rows)))
-    if args.oracle:
-        ref = stable_subspace_primes(field, args.prime)
-        agrees = ref.factors == dec.factors and ref.shape == dec.shape
-        print("oracle agreement: %s" % ("yes" if agrees else "NO"))
-        if not agrees:
-            return 1
+    p = args.prime
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
+    # past validation every exception is an internal failure: exit 1
+    try:
+        dec = decompose_prime(field, p)
+        print("%s p=%d shape %s" % (field.key, p, dec.shape))
+        for P, e in dec.factors:
+            rows = ["[" + " ".join(str(x) for x in row) + "]" for row in P.hnf]
+            print("  norm %d exponent %d hnf %s" % (P.norm, e, " ".join(rows)))
+        if args.oracle:
+            ref = stable_subspace_primes(field, p)
+            agrees = ref.factors == dec.factors and ref.shape == dec.shape
+            print("oracle agreement: %s" % ("yes" if agrees else "NO"))
+            if not agrees:
+                return 1
+    except Exception as exc:
+        print("error: %s p=%d: %s: %s" % (field.key, p, type(exc).__name__, exc),
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -385,6 +385,71 @@ def test_literal_subspace_scan_tiny_p(cubic7, cubic91, quartic_even):
             assert any(span <= ps for ps in prime_subspaces), (f.key, p, base)
 
 
+def _det_modp(m, p):
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(m))
+                           for j in range(i + 1, len(m)))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total % p
+
+
+def test_fixed_element_eigenvalues_by_scan(cubic7, cubic91, quartic_even):
+    # for every Frobenius-fixed element fv of B = (O/pO)/rad, on the pairs of
+    # the literal subspace scan: the engine's minimal polynomial annihilates
+    # multiplication by fv, no monic polynomial of lower degree does, and
+    # its roots are exactly the lam in F_p with mfv - lam singular
+    split_at = set()
+    for f, p in ((cubic7, 2), (cubic7, 3), (quartic_even, 2), (quartic_even, 3),
+                 (QuarticField(1, 3, 2, 13), 3), (QuarticField(-1, 3, 2, 13), 3),
+                 (QuarticField(1, 4, 1, 17), 2), (cubic91, 2)):
+        _, _, dim, fixed, bmul_matrix, one_b = il._semisimple_quotient(f, p)
+        eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for fv in fixed:
+            mfv = bmul_matrix(fv)
+            mpoly = il._min_poly_modp(mfv, one_b, p)
+            powers = [eye]
+            for _ in mpoly:
+                powers.append([[sum(powers[-1][i][k] * mfv[k][j] for k in range(dim)) % p
+                                for j in range(dim)] for i in range(dim)])
+
+            def annihilates(tail):
+                # x^len(tail) + sum tail[k] x^k, evaluated at mfv
+                return all((powers[len(tail)][i][j]
+                            + sum(c * powers[k][i][j] for k, c in enumerate(tail))) % p == 0
+                           for i in range(dim) for j in range(dim))
+
+            assert annihilates(mpoly), (f.key, p, fv)
+            for deg in range(len(mpoly)):
+                for tail in itertools.product(range(p), repeat=deg):
+                    assert not annihilates(tail), (f.key, p, fv, tail)
+            singular = [lam for lam in range(p)
+                        if _det_modp([[(mfv[i][j] - lam * eye[i][j]) % p for j in range(dim)]
+                                      for i in range(dim)], p) == 0]
+            if len(mpoly) == 1:
+                assert singular == [-mpoly[0] % p], (f.key, p, fv)
+            else:
+                assert roots_mod(mpoly, p) == singular, (f.key, p, fv)
+                split_at.add((p, f.n))
+    # the F_2 branch of roots_mod, and p = 3 with the radical power 2 for n = 4
+    assert {(2, 3), (2, 4), (3, 4)} <= split_at
+
+
+@pytest.mark.parametrize("p", [1000003, 1000199])
+@pytest.mark.parametrize("params", [(1, 2, 1, 5), (1, 404, 1, 163217)])
+def test_quartic_engine_near_a_million(params, p):
+    # 1000199 splits completely in both fields
+    f = QuarticField(*params)
+    dec = il.decompose_prime(f, p)
+    ref = il.stable_subspace_primes(f, p)
+    assert ref.factors == dec.factors and ref.shape == dec.shape
+    if p == 1000199:
+        assert dec.shape == "P1*P2*P3*P4"
+
+
 def test_decomposition_invariants_over_corpus():
     params = quartic_param_box(3, 30)
     for (a, b, c, d) in params:

@@ -101,6 +101,7 @@ def test_x_power_mod_matches_repeated_multiplication():
 def test_roots_mod_matches_scan(rng):
     # every polynomial shape: irreducible, partly split, repeated roots,
     # fully split; against evaluation at every residue
+    mod4 = set()
     for p in nt.primes_upto(130):
         for _ in range(12):
             n = rng.choice((2, 3, 4))
@@ -111,6 +112,18 @@ def test_roots_mod_matches_scan(rng):
         r1, r2, r3 = (rng.randrange(p) for _ in range(3))
         df = (-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -(r1 + r2 + r3))
         assert nt.roots_mod(df, p) == sorted({r1, r2, r3})
+        if p == 2:
+            continue
+        # two distinct roots make the linear part one quadratic piece, solved
+        # by sqrt_mod: one power for p = 3 mod 4, Tonelli-Shanks for p = 1 mod 4;
+        # alone, and beside an irreducible x^2 - q
+        r1, r2 = rng.sample(range(p), 2)
+        b, c = -(r1 + r2), r1 * r2
+        q = next(a for a in range(2, p) if not nt.is_quadratic_residue(a, p))
+        assert nt.roots_mod((c, b), p) == sorted((r1, r2)), p
+        assert nt.roots_mod((-c * q, -b * q, c - q, b), p) == sorted((r1, r2)), p
+        mod4.add(p % 4)
+    assert mod4 == {1, 3}
 
 
 def test_roots_mod_large_prime():

@@ -68,6 +68,22 @@ def test_decompose_bad_prime_exits_2(capsys):
     assert code == 2
 
 
+def test_decompose_internal_failure_exits_1_with_witness(capsys, monkeypatch):
+    # a ValueError raised inside the library is an internal failure, not bad
+    # input: exit 1, naming the field, the prime and the exception class
+    def broken(field, p):
+        raise ValueError("injected oracle failure")
+
+    monkeypatch.setattr(cli, "stable_subspace_primes", broken)
+    code = cli.main(["decompose", "--field", "quartic:1,2,1,5", "--prime", "5", "--oracle"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: quartic:1,2,1,5 p=5: ValueError: injected oracle failure" in err
+    code = cli.main(["decompose", "--field", "quartic:1,2,1,7", "--prime", "5"])
+    capsys.readouterr()
+    assert code == 2
+
+
 def test_field_spec_expansion():
     assert cli.expand_field_spec("cubic:7..40") == \
         ["cubic:7", "cubic:9", "cubic:13", "cubic:19", "cubic:31", "cubic:37"]
