@@ -18,7 +18,9 @@ quartic family p | d, p | a, p | c and the stated bases above 2) are
 built from generators; the others (p dividing the cubic index, odd p | b
 and three classes of p = 2 in the quartic family) go to the engine, which
 also serves as the independent oracle for every closed form.  No prime is
-out of range.
+out of range.  Every decomposition, closed form or engine, is certified
+over F_p: the factors are ideals and prod P^e = pO
+(`_finish_decomposition`).
 """
 
 import math
@@ -227,10 +229,22 @@ def _shape_tag(n, ef_pairs):
 
 
 def _finish_decomposition(field, p, factors) -> PrimeDecomposition:
+    """Check that the factors (P, e) are a decomposition of pO, and order them.
+
+    Each N(P) must be a power p^f of p, with sum(e * f) = n.  The product is
+    then certified over F_p, in O/pO: a span W starts at all of O/pO, the
+    image of O, and each (P, e) replaces it e times by the span of w * h,
+    for w in W and h a column of P's HNF.  By induction W is the image of
+    prod J^e, with J = P*O the ideal that P generates, so W = {0} says that
+    prod J^e lies in pO and p^n = N(pO) divides prod N(J)^e.  As J contains
+    P, N(J) divides N(P), and prod N(P)^e = p^(sum e*f) = p^n; so
+    N(J) = N(P) and J = P for every factor.  Every factor is therefore an
+    ideal, and prod P^e, which lies in pO and has norm p^n, is pO.  (Cohen,
+    GTM 138, secs. 2.4 and 6.2: linear algebra over F_p on O/pO.)
+    """
     n = field.n
     factors = sorted(factors, key=lambda t: t[0].hnf)
     efs = []
-    prod = None
     for P, e in factors:
         f = 0
         norm = P.norm
@@ -239,10 +253,14 @@ def _finish_decomposition(field, p, factors) -> PrimeDecomposition:
             norm //= p
             f += 1
         efs.append((e, f))
-        prod = P.power(e) if prod is None else prod.mul(P.power(e))
     assert sum(e * f for e, f in efs) == n
-    assert prod == principal_integer(field, p), \
-        "prime factors above %d do not multiply back to (%d)" % (p, p)
+    span = _unit_vectors(n)
+    for P, e in factors:
+        cols = [reduced for reduced in (tuple(x % p for x in c) for c in P.columns())
+                if any(reduced)]
+        for _ in range(e):
+            span, _ = _rref_modp([field.imul(w, h) for w in span for h in cols], p)
+    assert not span, "prime factors above %d do not multiply back to (%d)" % (p, p)
     return PrimeDecomposition(p, tuple(factors), _shape_tag(n, efs))
 
 
@@ -528,17 +546,21 @@ def _nullspace_modp(mat, p):
 
 
 def _matpow_modp(m, e, p):
+    """m^e mod p for e >= 1, by binary powering with no squaring past the
+    last bit of e (m itself for e = 1)."""
     n = len(m)
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [row[:] for row in m]
-    while e:
+    out = None
+    base = m
+    while True:
         if e & 1:
-            out = [[sum(out[i][k] * base[k][j] for k in range(n)) % p
-                    for j in range(n)] for i in range(n)]
-        base = [[sum(base[i][k] * base[k][j] for k in range(n)) % p
-                 for j in range(n)] for i in range(n)]
+            out = base if out is None else [
+                [sum(out[i][k] * base[k][j] for k in range(n)) % p for j in range(n)]
+                for i in range(n)]
         e >>= 1
-    return out
+        if not e:
+            return out
+        base = [[sum(base[i][k] * base[k][j] for k in range(n)) % p for j in range(n)]
+                for i in range(n)]
 
 
 def _min_poly_modp(mat, v, p):
@@ -557,6 +579,39 @@ def _min_poly_modp(mat, v, p):
             return list(kernel[0][:-1])
 
 
+def _apow_modp(field, u, k, p):
+    """u^k in O/pO, for integral coordinates u."""
+    out = tuple(int(i == 0) for i in range(field.n))  # gamma_1 = 1
+    base = u
+    while k:
+        if k & 1:
+            out = tuple(x % p for x in field.imul(out, base))
+        k >>= 1
+        if k:
+            base = tuple(x % p for x in field.imul(base, base))
+    return out
+
+
+def _frobenius_modp(field, p):
+    """The columns of x -> x^p on O/pO, an F_p-linear ring map.
+
+    Frobenius fixes 1 and commutes with sigma, so it is raised to the p-th
+    power only on the field's `sigma_orbit_basis` gens; sigma carries those
+    powers along the orbits, and the basis's integer inverse maps them back
+    to the integral basis."""
+    gens, members, inverse = field.sigma_orbit_basis
+    n = field.n
+    images = {(0, 0): tuple(int(i == 0) for i in range(n))}
+    for j in gens:
+        v = _apow_modp(field, tuple(int(i == j) for i in range(n)), p, p)
+        images[j, 0] = v
+        for k in range(1, max(k for g, k in members if g == j) + 1):
+            v = images[j, k] = tuple(x % p for x in field.isigma(v))
+    cols = [images[member] for member in members]
+    return [tuple(sum(inverse[t][i] * cols[t][r] for t in range(n)) % p for r in range(n))
+            for i in range(n)]
+
+
 def _semisimple_quotient(field, p):
     """B = (O/pO)/rad over F_p, with the data the splitting engine needs:
     (rad, lift, dim_b, fixed, bmul_matrix, one_b).  rad spans the radical
@@ -569,17 +624,7 @@ def _semisimple_quotient(field, p):
     def amul(u, v):
         return tuple(x % p for x in f.imul(u, v))
 
-    def apow(u, k):
-        out = tuple(int(i == 0) for i in range(n))  # gamma_1 = 1
-        base = u
-        while k:
-            if k & 1:
-                out = amul(out, base)
-            base = amul(base, base)
-            k >>= 1
-        return out
-
-    frob_cols = [apow(e, p) for e in _unit_vectors(n)]
+    frob_cols = _frobenius_modp(f, p)
     frob = [list(col) for col in zip(*frob_cols)]
     e_pow = 1
     while p ** e_pow < n:
@@ -620,6 +665,19 @@ def _semisimple_quotient(field, p):
     return rad, lift, dim_b, fixed, bmul_matrix, one_b
 
 
+def _span_hnf_modp(vectors, n, p):
+    """The HNF of the lattice p*Z^n + span(vectors), as `linalg.hnf_upper`
+    gives it, from one echelon form over F_p with pivots taken from the last
+    coordinate upward: a pivot at row i gives the column with 1 at i, zeros
+    below and entries in [0, p) above (zero at the other pivot rows), and
+    every other row i gives the column p*e_i."""
+    rref, pivots = _rref_modp([v[::-1] for v in vectors], p)
+    cols = [[p * int(r == k) for r in range(n)] for k in range(n)]
+    for row, c in zip(rref, pivots):
+        cols[n - 1 - c] = row[::-1]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
 def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
     """Primes above p as maximal multiplication-stable subspaces of O/pO.
 
@@ -634,9 +692,13 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
     GTM 138, sec. 3.4), and the eigenspaces of multiplication by fv for
     them refine every component.  The fixed basis elements separate all g
     fields, so at most g of them are used, and no loop runs over F_p.
-    Exponents follow from the product identity, which is verified.
-    Independent of every closed-form decomposition, and valid for every
-    prime p.
+    The prime for component i is the lattice pZ^n + lift(the other
+    components) + rad, whose HNF is read off an echelon form over F_p
+    (`_span_hnf_modp`) with no integer HNF.  Exponents follow from
+    e*f*g = n, and the decomposition is certified over F_p by
+    `_finish_decomposition`.  Frobenius is raised to the p-th power only on
+    the gens of the field's `sigma_orbit_basis`.  Independent of every
+    closed-form decomposition, and valid for every prime p.
     """
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
@@ -660,12 +722,8 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
     assert fs[0] == fs[-1], "non-Galois splitting pattern"
     factors = []
     for i in range(g):
-        others = [v for j, c in enumerate(comps) if j != i for v in c]
-        cols = [tuple(p * int(r == k) for r in range(n)) for k in range(n)]
-        cols += [lift(v) for v in others]
-        cols += [tuple(v) for v in rad]
-        P = from_integral_columns(f, cols)
-        factors.append(P)
+        others = [lift(v) for j, c in enumerate(comps) if j != i for v in c]
+        factors.append(IdealLattice(f, _span_hnf_modp(others + rad, n, p)))
     res_deg = len(comps[0])
     e_exp = n // (g * res_deg)
     assert e_exp * g * res_deg == n, "incompatible splitting data"
@@ -674,14 +732,15 @@ def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
 
 def _restrict_modp(mat, comp, p):
     """Matrix, in the basis `comp`, of `mat` on the subspace comp spans,
-    which `mat` must leave stable."""
+    which `mat` must leave stable: one reduction of [comp | mat comp]."""
     dim = len(mat)
-    span_cols = [list(v) for v in comp]
-    cols = [_solve_modp(span_cols,
-                        [sum(mat[i][j] * v[j] for j in range(dim)) % p for i in range(dim)],
-                        p)
-            for v in comp]
-    return [list(row) for row in zip(*cols)]
+    k = len(comp)
+    images = [[sum(mat[i][j] * v[j] for j in range(dim)) % p for i in range(dim)]
+              for v in comp]
+    rref, pivots = _rref_modp([[v[i] for v in comp] + [w[i] for w in images]
+                               for i in range(dim)], p)
+    assert pivots == list(range(k)), "inconsistent modular system"
+    return [row[k:] for row in rref]
 
 
 def _eigenspaces_modp(mat, comp, eigenvalues, p):
@@ -701,21 +760,6 @@ def _eigenspaces_modp(mat, comp, eigenvalues, p):
     assert sum(len(piece) for piece in pieces) == k, \
         "multiplication is not diagonal with eigenvalues %s" % (eigenvalues,)
     return pieces
-
-
-def _solve_modp(mat_cols_major, rhs, p):
-    """Solve (columns given) * x = rhs over F_p; the system must be
-    consistent with a unique solution on its column space."""
-    rows = len(rhs)
-    cols = len(mat_cols_major)
-    aug = [[mat_cols_major[j][i] % p for j in range(cols)] + [rhs[i] % p]
-           for i in range(rows)]
-    rref, pivots = _rref_modp(aug, p)
-    x = [0] * cols
-    for row, pc in zip(rref, pivots):
-        assert pc < cols, "inconsistent modular system"
-        x[pc] = row[cols]
-    return x
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -5,7 +5,9 @@ integral basis (gamma_1 = 1, ..., gamma_n):
 
     mul_table[i][j]   coordinates of gamma_i * gamma_j,
     sigma_int         the matrix of the Galois generator,
-    gram0             the Gram matrix of the embedding form, det = disc.
+    gram0             the Gram matrix of the embedding form, det = disc,
+    sigma_orbit_basis a Z-basis of 1 and sigma-images of few basis vectors
+                      (computed on first use).
 
 `IntegralOrder` builds these tables from a subclass's element arithmetic
 and carries everything that depends only on n, the integral basis, `mul`,
@@ -16,6 +18,8 @@ matrix over one common denominator, so converting an element costs integer
 dot products and one divisibility test.
 """
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -143,6 +147,37 @@ class IntegralOrder:
 
     def isigma(self, u):
         return tuple(sum(s * x for s, x in zip(row, u)) for row in self.sigma_int)
+
+    @functools.cached_property
+    def sigma_orbit_basis(self):
+        """(gens, members, inverse): a Z-basis of O made of gamma_1 = 1 and
+        sigma-images of as few integral basis vectors as possible.
+
+        members are n pairs (j, k), each standing for sigma^k(gamma_{j+1}),
+        with (0, 0) for 1; gens are the indices j > 0 whose orbits are used;
+        inverse is the integer inverse of the matrix whose columns are the
+        members' integral coordinates (det +-1).  A ring map that commutes
+        with sigma and fixes 1, such as Frobenius on O/pO, is thus known from
+        its values on the gens.  Taking every basis index always gives a
+        basis, so the search ends.  Depends only on the field, and is
+        computed once per field object.
+        """
+        n = self.n
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        for size in range(1, n):
+            for gens in itertools.combinations(range(1, n), size):
+                candidates = [((0, 0), units[0])]
+                for j in gens:
+                    v = units[j]
+                    for k in range(n):
+                        candidates.append(((j, k), v))
+                        v = self.isigma(v)
+                for chosen in itertools.combinations(candidates, n):
+                    cols = [v for _, v in chosen]
+                    if abs(linalg.det_bareiss(cols)) == 1:
+                        inv = linalg.invert_fraction([list(row) for row in zip(*cols)])
+                        return (gens, tuple(member for member, _ in chosen),
+                                tuple(tuple(int(x) for x in row) for row in inv))
 
     def __eq__(self, other):
         return isinstance(other, IntegralOrder) and other.key == self.key

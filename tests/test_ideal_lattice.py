@@ -450,6 +450,93 @@ def test_quartic_engine_near_a_million(params, p):
         assert dec.shape == "P1*P2*P3*P4"
 
 
+def _random_lattice_over_p(rng, n, p, f):
+    # p*Z^n + a random subspace of F_p^n of dimension n - f: norm p^f, contains pO
+    while True:
+        vecs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n - f)]
+        rref, _ = il._rref_modp(vecs, p)
+        if len(rref) == n - f:
+            return il._span_hnf_modp(vecs, n, p)
+
+
+def _mutations(dec, rng):
+    """Factor lists that are not a decomposition of pO: a prime dropped, an
+    exponent moved by one, a prime swapped for another lattice of its norm
+    that contains pO."""
+    factors = list(dec.factors)
+    f = factors[0][0].field
+    for i, (P, e) in enumerate(factors):
+        yield "drop", factors[:i] + factors[i + 1:]
+        for de in (-1, 1):
+            yield "exponent", factors[:i] + [(P, e + de)] + factors[i + 1:]
+        res_deg = dec.residue_degree(P)
+        if res_deg < f.n:  # pO is the only lattice of norm p^n above pO
+            for _ in range(3):
+                hnf = _random_lattice_over_p(rng, f.n, dec.p, res_deg)
+                if hnf != P.hnf:
+                    yield "swap", factors[:i] + [(il.IdealLattice(f, hnf), e)] + factors[i + 1:]
+
+
+@pytest.mark.parametrize("family", ["small_cubic_fields", "small_quartic_fields"])
+def test_certificate_rejects_mutated_factor_lists(family, request, rng):
+    kinds = set()
+    for f in request.getfixturevalue(family):
+        for p in primes_upto(30):
+            dec = il.decompose_prime(f, p)
+            for kind, factors in _mutations(dec, rng):
+                with pytest.raises(AssertionError):
+                    il._finish_decomposition(f, p, factors)
+                kinds.add(kind)
+    assert kinds == {"drop", "exponent", "swap"}
+
+
+@pytest.mark.parametrize("family", ["small_cubic_fields", "small_quartic_fields"])
+def test_certified_decompositions_multiply_back_to_p(family, request):
+    # the F_p certificate against the integer HNF product it replaced, and
+    # its by-product: every certified factor is an ideal
+    for f in request.getfixturevalue(family):
+        for p in primes_upto(30):
+            for dec in (il.decompose_prime(f, p), il.stable_subspace_primes(f, p)):
+                prod = il.unit_ideal(f)
+                for P, e in dec.factors:
+                    assert P.validate_ideal(), (f.key, p, P.hnf)
+                    prod = prod.mul(P.power(e))
+                assert prod == il.principal_integer(f, p), (f.key, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_span_hnf_matches_integer_hnf(p, rng):
+    for n in (3, 4):
+        for _ in range(200):
+            vecs = [tuple(rng.randrange(-3 * p, 3 * p) if rng.random() < 0.8 else 0
+                          for _ in range(n))
+                    for _ in range(rng.randrange(7))]
+            scaled = [tuple(p * int(r == k) for r in range(n)) for k in range(n)]
+            assert il._span_hnf_modp(vecs, n, p) == linalg.hnf_upper(scaled + vecs, n), \
+                (p, vecs)
+
+
+def test_frobenius_from_sigma_orbits(small_cubic_fields, small_quartic_fields):
+    # the Frobenius matrix built from the sigma-orbit gens, against raising
+    # every integral basis vector to the p-th power by square and multiply
+    fields = (small_cubic_fields + small_quartic_fields
+              + [CubicField(m) for m in (19, 37, 171)]
+              + [QuarticField(*q) for q in ((1, 4, 1, 17), (-1, 3, 2, 13), (1, 404, 1, 163217))])
+    assert len(fields) == 20
+    for f in fields:
+        n = f.n
+        for p in primes_upto(97) + [1000003]:
+            frob = il._frobenius_modp(f, p)
+            for j in range(n):
+                power, base, k = (1,) + (0,) * (n - 1), tuple(int(i == j) for i in range(n)), p
+                while k:
+                    if k & 1:
+                        power = tuple(x % p for x in f.imul(power, base))
+                    base = tuple(x % p for x in f.imul(base, base))
+                    k >>= 1
+                assert frob[j] == power, (f.key, p, j)
+
+
 def test_decomposition_invariants_over_corpus():
     params = quartic_param_box(3, 30)
     for (a, b, c, d) in params:

@@ -56,3 +56,21 @@ def test_to_integral_matches_inverse_basis_matrix(family, request, rng):
         # an element with a denominator the integral basis does not have
         with pytest.raises(ValueError):
             f.to_integral_exact(f.scale(f.one, Fraction(1, 3)))
+
+
+@pytest.mark.parametrize("family", ["small_cubic_fields", "small_quartic_fields"])
+def test_sigma_orbit_basis_is_a_basis_of_orbit_members(family, request):
+    for f in request.getfixturevalue(family):
+        n = f.n
+        gens, members, inverse = f.sigma_orbit_basis
+        assert len(members) == n and 0 < len(gens) < n
+        cols = []
+        for j, k in members:
+            assert j in gens or (j, k) == (0, 0)
+            v = tuple(int(i == j) for i in range(n))
+            for _ in range(k):
+                v = f.isigma(v)
+            cols.append(v)
+        basis = [list(row) for row in zip(*cols)]
+        assert linalg.mat_mul(basis, [list(row) for row in inverse]) == linalg.identity(n)
+        assert f.sigma_orbit_basis is f.sigma_orbit_basis  # computed once
