@@ -9,18 +9,23 @@ Alongside the generic lattice arithmetic this module carries the prime
 decompositions of both field families, the explicit integral bases of the
 ramified-product ideals, and one splitting engine
 (`stable_subspace_primes`) that recovers the primes above any prime p as
-the maximal multiplication-stable subspaces of O/pO: it takes the radical
-over F_p, and splits the semisimple quotient by the eigenspaces of at most
-g Frobenius-fixed elements, whose eigenvalues are the roots (`roots_mod`)
-of their minimal polynomials; no loop runs over F_p.  Primes with a
-closed form (ramified primes, primes prime to the index, and in the
-quartic family p | d, p | a, p | c and the stated bases above 2) are
-built from generators; the others (p dividing the cubic index, odd p | b
-and three classes of p = 2 in the quartic family) go to the engine, which
-also serves as the independent oracle for every closed form.  No prime is
-out of range.  Every decomposition, closed form or engine, is certified
-over F_p: the factors are ideals and prod P^e = pO
-(`_finish_decomposition`).
+the maximal multiplication-stable subspaces of O/pO.  At p prime to the
+discriminant the engine reads them off the Artin symbol: the fields are
+abelian over Q, so Frobenius on O/pO is sigma^k for one k, g = gcd(k, n)
+primes of residue degree n/g lie above p, and one element of the
+Frobenius-fixed algebra, ker(sigma^g - 1), whose g residues are distinct
+names them, as pO + (v - lam)O for the roots lam (`roots_mod`) of its
+minimal polynomial.  At p | disc, and at the few small unramified p where
+no candidate element separates, it takes the radical over F_p and splits
+the semisimple quotient by the eigenspaces of at most g Frobenius-fixed
+elements.  No loop runs over F_p.  Primes with a closed form (ramified
+primes, primes prime to the index, and in the quartic family p | d,
+p | a, p | c and the stated bases above 2) are built from generators; the
+others (p dividing the cubic index, odd p | b and three classes of p = 2
+in the quartic family) go to the engine, which also serves as the
+independent oracle for every closed form.  No prime is out of range.
+Every decomposition, closed form or engine, is certified over F_p: the
+factors are ideals and prod P^e = pO (`_finish_decomposition`).
 """
 
 import math
@@ -566,17 +571,28 @@ def _matpow_modp(m, e, p):
 def _min_poly_modp(mat, v, p):
     """Monic minimal polynomial over F_p of `mat` on the vector v, in the
     form of `x_power_mod` (ascending, leading 1 left out): the first linear
-    dependency among v, mat v, mat^2 v, ..."""
+    dependency among v, mat v, mat^2 v, ...  One elimination runs along the
+    Krylov sequence: each new vector is reduced at the pivots of the
+    earlier ones, and its coefficients on the Krylov vectors are carried
+    along, so the first vector that reduces to zero gives the dependency."""
     dim = len(mat)
-    krylov = [list(v)]
+    rows = []  # (pivot, reduced vector, its coefficients on the Krylov vectors)
+    w = [x % p for x in v]
     while True:
-        w = krylov[-1]
-        krylov.append([sum(mat[i][j] * w[j] for j in range(dim)) % p for i in range(dim)])
-        # the earlier vectors are independent, so the kernel is at most one
-        # vector, normalised to 1 on the newest
-        kernel = _nullspace_modp([list(row) for row in zip(*krylov)], p)
-        if kernel:
-            return list(kernel[0][:-1])
+        k = len(rows)  # w is mat^k v
+        r = w
+        coeffs = [int(i == k) for i in range(dim + 1)]
+        for pc, row, rc in rows:
+            c = r[pc]
+            if c:
+                r = [(x - c * y) % p for x, y in zip(r, row)]
+                coeffs = [(x - c * y) % p for x, y in zip(coeffs, rc)]
+        pc = next((i for i, x in enumerate(r) if x), None)
+        if pc is None:
+            return coeffs[:k]
+        inv = pow(r[pc], -1, p)
+        rows.append((pc, [x * inv % p for x in r], [x * inv % p for x in coeffs]))
+        w = [sum(mat[i][j] * w[j] for j in range(dim)) % p for i in range(dim)]
 
 
 def _apow_modp(field, u, k, p):
@@ -679,29 +695,128 @@ def _span_hnf_modp(vectors, n, p):
 
 
 def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
-    """Primes above p as maximal multiplication-stable subspaces of O/pO.
+    """Primes above p as the maximal multiplication-stable subspaces of O/pO.
 
-    The algebra A = O/pO is split exactly: the radical is the kernel of
-    the p^e-power map (additive in characteristic p), and the semisimple
-    quotient B = A/rad is a product of g residue fields, whose
-    Frobenius-fixed elements form F_p^g.  A fixed element fv acts on the
-    i-th field as a scalar lam_i in F_p, so its minimal polynomial, the
-    first linear dependency among 1, fv, fv^2, ... in B, is the product of
-    x - lam over the distinct lam_i and splits over F_p.  `roots_mod`
-    finds those lam (equal-degree splitting, Cantor-Zassenhaus; Cohen,
-    GTM 138, sec. 3.4), and the eigenspaces of multiplication by fv for
-    them refine every component.  The fixed basis elements separate all g
-    fields, so at most g of them are used, and no loop runs over F_p.
-    The prime for component i is the lattice pZ^n + lift(the other
-    components) + rad, whose HNF is read off an echelon form over F_p
-    (`_span_hnf_modp`) with no integer HNF.  Exponents follow from
-    e*f*g = n, and the decomposition is certified over F_p by
-    `_finish_decomposition`.  Frobenius is raised to the p-th power only on
-    the gens of the field's `sigma_orbit_basis`.  Independent of every
-    closed-form decomposition, and valid for every prime p.
+    At p not dividing disc the primes are read off the Artin symbol.  Then
+    p is unramified, so O/pO is reduced: it is the product of the residue
+    fields O/P over the primes P above p.  The Galois group <sigma> is
+    abelian, so all P share one decomposition group D, and one sigma^k, the
+    Artin symbol, has sigma^k(x) = x^p mod P for every P (Neukirch, ANT,
+    I.9), hence on O/pO, the product of the O/P.  The inertia group is
+    trivial, so sigma^k generates D, and the residue degree is the order
+    of sigma^k, f = n / gcd(k, n); as e = 1, there are g = n/f = gcd(k, n)
+    primes.  `_artin_power` finds k from the p-th power of one
+    `sigma_orbit_basis` gen.  For g = 1, p is inert and pO is the prime.
+    Otherwise the Frobenius-fixed elements of O/pO are those fixed by
+    <sigma^k> = <sigma^g>, the kernel of S^g - 1 for sigma's matrix S, and
+    form F_p^g, one F_p in each residue field; no radical or quotient is
+    needed.  A fixed v is a scalar lam_i on the i-th residue field, and
+    when the g scalars are distinct its minimal polynomial (Krylov on 1)
+    has degree g and the roots lam_i (`roots_mod`).  Then v - lam_i is zero
+    on the i-th field and a unit on the others, so the i-th prime is
+    pO + (v - lam_i)O, whose HNF is read off the columns of M_v - lam_i
+    over F_p (`_span_hnf_modp`).  The outputs are checked to be g factors
+    of norm p^(n/g) and certified by `_finish_decomposition`: their product
+    is pO, so each factor, containing pO and of the residue degree every
+    prime above p has, is one prime.
+
+    v is taken as sum_i c^i v_i over the kernel's basis, for the first c
+    in `_SEPARATOR_BASES` that separates.  At p | disc, and at the few
+    small p where no such v has g distinct scalars (g > p forces that),
+    `_quotient_split_primes` decomposes p; it is also the Galois path's
+    oracle in the tests.  Independent of every closed-form decomposition,
+    and valid for every prime p.
     """
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
+    if field.disc % p:
+        dec = _galois_primes(field, p)
+        if dec is not None:
+            return dec
+    return _quotient_split_primes(field, p)
+
+
+# c in the candidate separating elements sum_i c^i v_i of `_galois_primes`
+_SEPARATOR_BASES = (2, 3, 5, 7, 11)
+
+
+def _artin_power(field, p):
+    """The k in [0, n) with x^p = sigma^k(x) on O/pO, for p not dividing disc.
+
+    Frobenius fixes 1 and commutes with sigma, so it is known from its
+    values on the gens of `sigma_orbit_basis`; so is each sigma^i, and two
+    ring maps that agree on the gens agree on O/pO.  One gen whose n
+    conjugates are distinct mod p settles k with one p-th power; when no
+    gen has that, the values of k that fit every gen are intersected.  As
+    the inertia group is trivial, exactly one k remains."""
+    n = field.n
+    gens = field.sigma_orbit_basis[0]
+    powers = field.sigma_powers
+    conjugates = {j: [tuple(x % p for x in powers[i][j]) for i in range(n)] for j in gens}
+    distinct = [j for j in gens if len(set(conjugates[j])) == n]
+    ks = set(range(n))
+    for j in distinct[:1] or gens:
+        image = _apow_modp(field, powers[0][j], p, p)
+        ks &= {i for i, conj in enumerate(conjugates[j]) if conj == image}
+    assert len(ks) == 1, "%s: no single Artin power at p=%d (candidates %s)" \
+        % (field.key, p, sorted(ks))
+    return ks.pop()
+
+
+def _galois_primes(field, p):
+    """The primes above p, for p not dividing disc, from the Artin symbol
+    (see `stable_subspace_primes`); None when no candidate element
+    separates the residue fields."""
+    f = field
+    n = f.n
+    g = math.gcd(_artin_power(f, p), n)
+    if g == 1:
+        return _finish_decomposition(f, p, [(principal_integer(f, p), 1)])
+    sg = f.sigma_powers[g % n]
+    fixed = _nullspace_modp([[(sg[j][i] - int(i == j)) % p for j in range(n)]
+                             for i in range(n)], p)
+    assert len(fixed) == g, "%s: fixed algebra of dimension %d at p=%d, not %d" \
+        % (f.key, len(fixed), p, g)
+    units = _unit_vectors(n)
+    for c in _SEPARATOR_BASES:
+        v = [sum(c ** t * b[i] for t, b in enumerate(fixed)) % p for i in range(n)]
+        mv = [tuple(x % p for x in f.imul(v, e)) for e in units]  # columns
+        mpoly = _min_poly_modp([list(row) for row in zip(*mv)], units[0], p)
+        if len(mpoly) == g:
+            break
+    else:
+        return None
+    factors = []
+    for lam in roots_mod(mpoly, p):
+        shifted = [tuple((x - lam * int(i == j)) % p for i, x in enumerate(col))
+                   for j, col in enumerate(mv)]
+        factors.append((IdealLattice(f, _span_hnf_modp(shifted, n, p)), 1))
+    assert len(factors) == g and all(P.norm == p ** (n // g) for P, _ in factors), \
+        "%s: Galois path at p=%d gave norms %s, not %d of %d" \
+        % (f.key, p, [P.norm for P, _ in factors], g, p ** (n // g))
+    return _finish_decomposition(f, p, factors)
+
+
+def _quotient_split_primes(field, p):
+    """Primes above any prime p by splitting the semisimple quotient of O/pO.
+
+    The radical of A = O/pO is the kernel of the p^e-power map (additive
+    in characteristic p), and the semisimple quotient B = A/rad is a product
+    of g residue fields, whose Frobenius-fixed elements form F_p^g.  A
+    fixed element fv acts on the i-th field as a scalar lam_i in F_p, so
+    its minimal polynomial, the first linear dependency among 1, fv, fv^2,
+    ... in B, is the product of x - lam over the distinct lam_i and splits
+    over F_p.  `roots_mod` finds those lam (equal-degree splitting,
+    Cantor-Zassenhaus; Cohen, GTM 138, sec. 3.4), and the eigenspaces of
+    multiplication by fv for them refine every component.  The fixed basis
+    elements separate all g fields, so at most g of them are used, and no
+    loop runs over F_p.  The prime for component i is the lattice
+    pZ^n + lift(the other components) + rad, whose HNF is read off an
+    echelon form over F_p (`_span_hnf_modp`) with no integer HNF.
+    Exponents follow from e*f*g = n, and the decomposition is certified
+    over F_p by `_finish_decomposition`.  Frobenius is raised to the p-th
+    power only on the gens of the field's `sigma_orbit_basis`.
+    """
     f = field
     n = f.n
     rad, lift, dim_b, fixed, bmul_matrix, one_b = _semisimple_quotient(f, p)

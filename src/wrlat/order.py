@@ -7,7 +7,9 @@ integral basis (gamma_1 = 1, ..., gamma_n):
     sigma_int         the matrix of the Galois generator,
     gram0             the Gram matrix of the embedding form, det = disc,
     sigma_orbit_basis a Z-basis of 1 and sigma-images of few basis vectors
-                      (computed on first use).
+                      (computed on first use),
+    sigma_powers      the columns of sigma^0, ..., sigma^(n-1) (computed on
+                      first use).
 
 `IntegralOrder` builds these tables from a subclass's element arithmetic
 and carries everything that depends only on n, the integral basis, `mul`,
@@ -178,6 +180,17 @@ class IntegralOrder:
                         inv = linalg.invert_fraction([list(row) for row in zip(*cols)])
                         return (gens, tuple(member for member, _ in chosen),
                                 tuple(tuple(int(x) for x in row) for row in inv))
+
+    @functools.cached_property
+    def sigma_powers(self):
+        """The matrices of sigma^0 = 1, sigma, ..., sigma^(n-1), each a tuple
+        of columns: sigma_powers[k][j] holds the integral coordinates of
+        sigma^k(gamma_{j+1}).  Computed once per field object."""
+        cols = tuple(tuple(int(i == j) for i in range(self.n)) for j in range(self.n))
+        powers = [cols]
+        for _ in range(self.n - 1):
+            powers.append(tuple(self.isigma(c) for c in powers[-1]))
+        return tuple(powers)
 
     def __eq__(self, other):
         return isinstance(other, IntegralOrder) and other.key == self.key

@@ -3,7 +3,7 @@ well-roundedness, run the certified cross-checks, and hunt for
 counterexamples to the odd-discriminant norm-divisibility conjecture.
 
 Exit codes: 0 success, 1 a scan found a failure or counterexample, or a
-decomposition failed inside the library, 2 bad input.
+decomposition or cross-check failed inside the library, 2 bad input.
 """
 
 import argparse
@@ -75,15 +75,15 @@ def _predicate_map(field) -> dict:
     return {case.ideal.hnf: case.predicted for case in cases}
 
 
-def scan_field(field_id: str, norm_bound: int) -> list:
-    """WrRecord dicts for every primitive ideal of norm <= norm_bound.
+def scan_field(field, norm_bound: int) -> list:
+    """WrRecord dicts for every primitive ideal of `field` of norm <= norm_bound.
 
     sigma maps each ideal isometrically onto its image, so the lattice is
     reduced once per sigma-orbit, on the orbit's least member, and the
     minimum and the WR flags are copied to the others.  That relies on the
     enumerated list being closed under sigma, which `sigma_orbits` checks.
     """
-    field = parse_field_id(field_id)
+    field_id = field.key
     predicates = _predicate_map(field)
     n = field.n
     records = []
@@ -107,26 +107,33 @@ def scan_field(field_id: str, norm_bound: int) -> list:
 
 def _scan_worker(args):
     field_id, norm_bound = args
+    disc = None
     try:
-        return field_id, scan_field(field_id, norm_bound), None
+        field = parse_field_id(field_id)
+        disc = field.disc
+        return field_id, disc, scan_field(field, norm_bound), None
     except Exception as exc:  # report and let the driver skip the field
-        return field_id, [], "%s: %s" % (type(exc).__name__, exc)
+        return field_id, disc, [], "%s: %s" % (type(exc).__name__, exc)
 
 
 def run_scan(field_ids, norm_bound, jobs=1):
+    """(records, failures, discs) of a scan of the fields, which must be
+    canonical field ids, as `expand_field_spec` gives them; discs maps each
+    field id to its discriminant (None if the field could not be built)."""
     work = [(fid, norm_bound) for fid in field_ids]
     if jobs > 1 and len(work) > 1:
         with multiprocessing.Pool(jobs) as pool:
             outputs = pool.map(_scan_worker, work)
     else:
         outputs = [_scan_worker(w) for w in work]
-    records, failures = [], []
-    for fid, recs, err in outputs:
+    records, failures, discs = [], [], {}
+    for fid, disc, recs, err in outputs:
+        discs[fid] = disc
         if err is not None:
             failures.append({"field_id": fid, "error": err})
         records.extend(recs)
     records.sort(key=lambda r: (r["field_id"], r["ideal_norm"], r["hnf"]))
-    return records, failures
+    return records, failures, discs
 
 
 # -- serialization --------------------------------------------------------------
@@ -257,7 +264,7 @@ def _scan_config(args) -> dict:
 
 def cmd_scan(args) -> int:
     config = _scan_config(args)
-    records, failures = run_scan(config["fields"], args.norm_bound, args.jobs)
+    records, failures, _ = run_scan(config["fields"], args.norm_bound, args.jobs)
     summary = {
         "fields": len(config["fields"]),
         "records": len(records),
@@ -284,11 +291,18 @@ def cmd_scan(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    field_ids = expand_field_spec(args.fields)
+    # a bad field id raises ValueError: exit 2 in main
+    fields = [parse_field_id(fid) for fid in expand_field_spec(args.fields)]
     total = failed = 0
-    for fid in field_ids:
-        field = parse_field_id(fid)
-        for res in crosscheck_field(field):
+    for field in fields:
+        # past validation every exception is an internal failure: exit 1
+        try:
+            results = crosscheck_field(field)
+        except Exception as exc:
+            print("error: %s: %s: %s" % (field.key, type(exc).__name__, exc),
+                  file=sys.stderr)
+            return 1
+        for res in results:
             total += 1
             status = "PASS" if res.passed else "FAIL"
             if not res.passed:
@@ -303,12 +317,12 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_conjecture(args) -> int:
     config = _scan_config(args)
-    records, failures = run_scan(config["fields"], args.norm_bound, args.jobs)
+    records, failures, discs = run_scan(config["fields"], args.norm_bound, args.jobs)
     counterexamples = []
     expected_nonconforming = []
     conforming = 0
-    odd_disc_fields = {fid for fid in config["fields"]
-                       if parse_field_id(fid).disc % 2 == 1}
+    odd_disc_fields = {fid for fid, disc in discs.items()
+                       if disc is not None and disc % 2 == 1}
     for r in records:
         if not r["wr"]:
             continue

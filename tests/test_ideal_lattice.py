@@ -8,7 +8,8 @@ from wrlat import ideal_lattice as il
 from wrlat import linalg
 from wrlat.cubic_field import CubicField
 from wrlat.lattice_reduce import wr_report
-from wrlat.numtheory import factorize, is_quadratic_residue, primes_upto, roots_mod
+from wrlat.numtheory import (enumerate_conductors, factorize, is_quadratic_residue, primes_upto,
+                             roots_mod)
 from wrlat.quartic_field import QuarticField
 from conftest import quartic_param_box
 
@@ -204,6 +205,7 @@ def test_cubic_decomposition_near_a_million(cubic7, p, shape):
     assert dec.shape == shape
     ref = il.stable_subspace_primes(cubic7, p)
     assert dec.factors == ref.factors and dec.shape == ref.shape
+    assert il._galois_primes(cubic7, p) == dec
 
 
 def test_quartic_decomposition_examples(quartic_even):
@@ -446,6 +448,7 @@ def test_quartic_engine_near_a_million(params, p):
     dec = il.decompose_prime(f, p)
     ref = il.stable_subspace_primes(f, p)
     assert ref.factors == dec.factors and ref.shape == dec.shape
+    assert il._galois_primes(f, p) == dec
     if p == 1000199:
         assert dec.shape == "P1*P2*P3*P4"
 
@@ -535,6 +538,66 @@ def test_frobenius_from_sigma_orbits(small_cubic_fields, small_quartic_fields):
                     base = tuple(x % p for x in f.imul(base, base))
                     k >>= 1
                 assert frob[j] == power, (f.key, p, j)
+
+
+@pytest.fixture(scope="module")
+def unramified_sweep_pairs():
+    """Every (field, p) with p <= 97 prime to disc, over quartic:box:5,40
+    and cubic:7..300."""
+    fields = [QuarticField(*t) for t in quartic_param_box(5, 40)]
+    fields += [CubicField(m) for m in enumerate_conductors(300) if m >= 7]
+    return [(f, p) for f in fields for p in primes_upto(97) if f.disc % p]
+
+
+def test_galois_path_matches_quotient_split(unramified_sweep_pairs):
+    # the Artin-symbol path against the semisimple-quotient split, on every
+    # pair it decomposes; the pairs it leaves to the split are few and small
+    unseparated = []
+    for f, p in unramified_sweep_pairs:
+        dec = il._galois_primes(f, p)
+        if dec is None:
+            unseparated.append((f.key, p))
+            continue
+        ref = il._quotient_split_primes(f, p)
+        assert dec.factors == ref.factors and dec.shape == ref.shape, (f.key, p)
+        assert not dec.is_ramified()
+    assert len(unramified_sweep_pairs) == 3042
+    assert len(unseparated) <= 44 and all(p <= 17 for _, p in unseparated), unseparated
+
+
+def test_artin_power_is_frobenius(unramified_sweep_pairs):
+    # sigma^k, for the Artin power k, against x -> x^p column for column
+    for f, p in unramified_sweep_pairs:
+        k = il._artin_power(f, p)
+        sigma_k = [tuple(x % p for x in col) for col in f.sigma_powers[k]]
+        assert sigma_k == il._frobenius_modp(f, p), (f.key, p, k)
+
+
+@pytest.mark.parametrize("params,p", [((-3, 4, 1, 17), 2), ((1, 3, 1, 10), 3),
+                                      ((-1, 1, 1, 2), 7)])
+def test_unseparated_pairs_take_the_quotient_split(params, p):
+    # unramified, but no candidate element has g distinct residues
+    f = QuarticField(*params)
+    assert f.disc % p and il._galois_primes(f, p) is None
+    dec = il.stable_subspace_primes(f, p)
+    assert dec == il._quotient_split_primes(f, p) == il.decompose_prime(f, p)
+
+
+def test_ramified_primes_skip_the_galois_path(small_cubic_fields, small_quartic_fields,
+                                              monkeypatch):
+    def entered(field, p):
+        raise AssertionError("Galois path entered at %s p=%d" % (field.key, p))
+
+    monkeypatch.setattr(il, "_galois_primes", entered)
+    ramified = 0
+    for f in small_cubic_fields + small_quartic_fields:
+        for p in factorize(abs(f.disc)).primes:
+            dec = il.stable_subspace_primes(f, p)
+            assert dec.is_ramified() and dec == il.decompose_prime(f, p), (f.key, p)
+            ramified += 1
+    assert ramified >= 20
+    with pytest.raises(AssertionError, match="Galois path entered"):
+        il.stable_subspace_primes(small_cubic_fields[0], 29)
 
 
 def test_decomposition_invariants_over_corpus():

@@ -70,7 +70,9 @@ def test_sigma_orbit_basis_is_a_basis_of_orbit_members(family, request):
             v = tuple(int(i == j) for i in range(n))
             for _ in range(k):
                 v = f.isigma(v)
+            assert f.sigma_powers[k][j] == v
             cols.append(v)
         basis = [list(row) for row in zip(*cols)]
         assert linalg.mat_mul(basis, [list(row) for row in inverse]) == linalg.identity(n)
         assert f.sigma_orbit_basis is f.sigma_orbit_basis  # computed once
+        assert f.sigma_powers is f.sigma_powers

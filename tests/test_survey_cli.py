@@ -175,6 +175,37 @@ def test_crosscheck_command(capsys):
     assert "0 failures" in out
 
 
+def test_crosscheck_internal_failure_exits_1_with_witness(capsys, monkeypatch):
+    # past field validation a library ValueError is an internal failure:
+    # exit 1, naming the field and the exception class; a bad field id is
+    # still bad input
+    def broken(field):
+        raise ValueError("injected crosscheck failure")
+
+    monkeypatch.setattr(cli, "crosscheck_field", broken)
+    code = cli.main(["crosscheck", "--fields", "cubic:7"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: cubic:7: ValueError: injected crosscheck failure" in err
+    code = cli.main(["crosscheck", "--fields", "cubic:12"])
+    capsys.readouterr()
+    assert code == 2
+
+
+def test_conjecture_builds_each_field_once(capsys, monkeypatch):
+    # the odd-discriminant set comes from the scan's own field objects
+    spec = "cubic:7..40;quartic:box:1,6"
+    field_ids = cli.expand_field_spec(spec)
+    parse = cli.parse_field_id
+    built = []
+    monkeypatch.setattr(cli, "parse_field_id", lambda fid: built.append(fid) or parse(fid))
+    code, out = run(capsys, ["conjecture", "--fields", spec, "--norm-bound", "30", "--json"])
+    assert sorted(built) == sorted(field_ids)
+    _, _, summary = cli.parse_json(out)
+    assert summary["odd_disc_fields"] == sum(parse(fid).disc % 2 for fid in field_ids) == 7
+    assert code == 1 and summary["counterexamples"] and not summary["failures"]
+
+
 def test_conjecture_conforming(capsys):
     # norms <= 30 in (-1,2,1,5): the WR primes above 5 and 11 appear; 5
     # divides 125 but 11 does not, so the scan reports a counterexample
