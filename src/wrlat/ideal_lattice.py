@@ -8,24 +8,24 @@ and the norm is the diagonal product.
 Alongside the generic lattice arithmetic this module carries the prime
 decompositions of both field families, the explicit integral bases of the
 ramified-product ideals, and one splitting engine
-(`stable_subspace_primes`) that recovers the primes above any prime p as
-the maximal multiplication-stable subspaces of O/pO.  At p prime to the
-discriminant the engine reads them off the Artin symbol: the fields are
-abelian over Q, so Frobenius on O/pO is sigma^k for one k, g = gcd(k, n)
-primes of residue degree n/g lie above p, and one element of the
-Frobenius-fixed algebra, ker(sigma^g - 1), whose g residues are distinct
-names them, as pO + (v - lam)O for the roots lam (`roots_mod`) of its
-minimal polynomial.  At p | disc, and at the few small unramified p where
-no candidate element separates, it takes the radical over F_p and splits
-the semisimple quotient by the eigenspaces of at most g Frobenius-fixed
-elements.  No loop runs over F_p.  Primes with a closed form (ramified
-primes, primes prime to the index, and in the quartic family p | d,
-p | a, p | c and the stated bases above 2) are built from generators; the
-others (p dividing the cubic index, odd p | b and three classes of p = 2
-in the quartic family) go to the engine, which also serves as the
-independent oracle for every closed form.  No prime is out of range.
-Every decomposition, closed form or engine, is certified over F_p: the
-factors are ideals and prod P^e = pO (`_finish_decomposition`).
+(`stable_subspace_primes`) that decomposes every prime p the same way, by
+linear algebra over F_p on O/pO.  Its lemma: x -> x^p fixes exactly the
+copy of O_L/p in O/pO, where L is the decomposition field of p and
+O_L/p = F_p^g for the g primes above p, ramified or not.  The integral
+basis is adapted to the subfield chain, so g is the largest h | n whose
+h-th basis vector is fixed by x -> x^p, one p-th power per step.  The g
+characters of O_L/p are the roots (`roots_mod`) of the minimal
+polynomials of O_L's basis vectors, refined by eigenspaces when no one
+vector separates them; each prime is pO + sum (b - lam(b))O, plus the
+radical of O/pO when p | disc.  No loop runs over F_p and no element is
+guessed.  Primes with a closed form (ramified primes, primes prime to
+the index, and in the quartic family p | d, p | a, p | c and the stated
+bases above 2) are built from generators; the others (p dividing the
+cubic index, odd p | b and three classes of p = 2 in the quartic family)
+go to the engine, which also serves as the independent oracle for every
+closed form.  No prime is out of range.  Every decomposition, closed form
+or engine, is certified over F_p: the factors are ideals and
+prod P^e = pO (`_finish_decomposition`).
 """
 
 import math
@@ -113,7 +113,7 @@ class IdealLattice:
     def validate_ideal(self) -> bool:
         """True iff the lattice is closed under multiplication by O."""
         f = self.field
-        units = _unit_vectors(f.n)
+        units = _UNIT_VECTORS[f.n]
         for col in self.columns():
             for e in units:
                 if not self.contains_coords(f.imul(col, e)):
@@ -138,14 +138,13 @@ class IdealLattice:
 
 # -- constructors -------------------------------------------------------------
 
-def _unit_vectors(n):
-    return [tuple(int(i == k) for i in range(n)) for k in range(n)]
+# the integral basis vectors e_1, ..., e_n in coordinates, for n = 3, 4
+_UNIT_VECTORS = {n: tuple(tuple(int(i == k) for i in range(n)) for k in range(n))
+                 for n in (3, 4)}
 
 
 def unit_ideal(field) -> IdealLattice:
-    n = field.n
-    return IdealLattice(field, tuple(tuple(int(i == j) for j in range(n))
-                                     for i in range(n)))
+    return IdealLattice(field, _UNIT_VECTORS[field.n])
 
 
 def principal_integer(field, k: int) -> IdealLattice:
@@ -171,7 +170,7 @@ def from_generators(field, gens) -> IdealLattice:
     gens = list(gens)
     if not gens or all(g == field.from_int(0) for g in gens):
         raise ValueError("need at least one nonzero generator")
-    units = _unit_vectors(field.n)
+    units = _UNIT_VECTORS[field.n]
     cols = []
     for g in gens:
         u = field.to_integral_exact(g)
@@ -259,7 +258,7 @@ def _finish_decomposition(field, p, factors) -> PrimeDecomposition:
             f += 1
         efs.append((e, f))
     assert sum(e * f for e, f in efs) == n
-    span = _unit_vectors(n)
+    span = _UNIT_VECTORS[n]
     for P, e in factors:
         cols = [reduced for reduced in (tuple(x % p for x in c) for c in P.columns())
                 if any(reduced)]
@@ -503,7 +502,7 @@ def decompose_prime_quartic(field, p: int) -> PrimeDecomposition:
     return _finish_decomposition(f, p, [(p1, 1), (p2, 1)])
 
 
-# -- splitting engine: stable subspaces of O/pO --------------------------------
+# -- splitting engine: linear algebra over F_p on O/pO --------------------------
 
 def _rref_modp(rows, p):
     a = [[x % p for x in row] for row in rows]
@@ -597,7 +596,7 @@ def _min_poly_modp(mat, v, p):
 
 def _apow_modp(field, u, k, p):
     """u^k in O/pO, for integral coordinates u."""
-    out = tuple(int(i == 0) for i in range(field.n))  # gamma_1 = 1
+    out = _UNIT_VECTORS[field.n][0]  # gamma_1 = 1
     base = u
     while k:
         if k & 1:
@@ -617,68 +616,16 @@ def _frobenius_modp(field, p):
     to the integral basis."""
     gens, members, inverse = field.sigma_orbit_basis
     n = field.n
-    images = {(0, 0): tuple(int(i == 0) for i in range(n))}
+    units = _UNIT_VECTORS[n]
+    images = {(0, 0): units[0]}
     for j in gens:
-        v = _apow_modp(field, tuple(int(i == j) for i in range(n)), p, p)
+        v = _apow_modp(field, units[j], p, p)
         images[j, 0] = v
         for k in range(1, max(k for g, k in members if g == j) + 1):
             v = images[j, k] = tuple(x % p for x in field.isigma(v))
     cols = [images[member] for member in members]
     return [tuple(sum(inverse[t][i] * cols[t][r] for t in range(n)) % p for r in range(n))
             for i in range(n)]
-
-
-def _semisimple_quotient(field, p):
-    """B = (O/pO)/rad over F_p, with the data the splitting engine needs:
-    (rad, lift, dim_b, fixed, bmul_matrix, one_b).  rad spans the radical
-    in O/pO; lift maps B-coordinates to O/pO; fixed spans the
-    Frobenius-fixed elements of B (F_p^g); bmul_matrix(bv) is the matrix
-    of multiplication by bv on B; one_b is 1 in B-coordinates."""
-    f = field
-    n = f.n
-
-    def amul(u, v):
-        return tuple(x % p for x in f.imul(u, v))
-
-    frob_cols = _frobenius_modp(f, p)
-    frob = [list(col) for col in zip(*frob_cols)]
-    e_pow = 1
-    while p ** e_pow < n:
-        e_pow += 1
-    rad = _nullspace_modp(_matpow_modp(frob, e_pow, p), p)
-    rad_rref, rad_pivots = _rref_modp(rad, p)
-    free = [c for c in range(n) if c not in rad_pivots]
-
-    def project(u):
-        u = [x % p for x in u]
-        for row, pc in zip(rad_rref, rad_pivots):
-            if u[pc]:
-                fi = u[pc]
-                u = [(x - fi * y) % p for x, y in zip(u, row)]
-        return tuple(u[c] for c in free)
-
-    def lift(bv):
-        v = [0] * n
-        for c, x in zip(free, bv):
-            v[c] = x
-        return tuple(v)
-
-    dim_b = len(free)
-    b_units = _unit_vectors(dim_b)
-
-    def bmul_matrix(bv):
-        lifted = lift(bv)
-        cols = [project(amul(lifted, lift(e))) for e in b_units]
-        return [list(col) for col in zip(*cols)]
-
-    # lift(e_c) is the unit vector at free[c], whose p-th power in O/pO is
-    # column free[c] of frob
-    frob_b = [list(col) for col in zip(*[project(frob_cols[c]) for c in free])]
-    fixed = _nullspace_modp(
-        [[(frob_b[i][j] - int(i == j)) % p for j in range(dim_b)]
-         for i in range(dim_b)], p)
-    one_b = project(tuple(int(i == 0) for i in range(n)))
-    return rad, lift, dim_b, fixed, bmul_matrix, one_b
 
 
 def _span_hnf_modp(vectors, n, p):
@@ -695,154 +642,82 @@ def _span_hnf_modp(vectors, n, p):
 
 
 def stable_subspace_primes(field, p: int) -> PrimeDecomposition:
-    """Primes above p as the maximal multiplication-stable subspaces of O/pO.
+    """The primes above p, by linear algebra over F_p on A = O/pO.
 
-    At p not dividing disc the primes are read off the Artin symbol.  Then
-    p is unramified, so O/pO is reduced: it is the product of the residue
-    fields O/P over the primes P above p.  The Galois group <sigma> is
-    abelian, so all P share one decomposition group D, and one sigma^k, the
-    Artin symbol, has sigma^k(x) = x^p mod P for every P (Neukirch, ANT,
-    I.9), hence on O/pO, the product of the O/P.  The inertia group is
-    trivial, so sigma^k generates D, and the residue degree is the order
-    of sigma^k, f = n / gcd(k, n); as e = 1, there are g = n/f = gcd(k, n)
-    primes.  `_artin_power` finds k from the p-th power of one
-    `sigma_orbit_basis` gen.  For g = 1, p is inert and pO is the prime.
-    Otherwise the Frobenius-fixed elements of O/pO are those fixed by
-    <sigma^k> = <sigma^g>, the kernel of S^g - 1 for sigma's matrix S, and
-    form F_p^g, one F_p in each residue field; no radical or quotient is
-    needed.  A fixed v is a scalar lam_i on the i-th residue field, and
-    when the g scalars are distinct its minimal polynomial (Krylov on 1)
-    has degree g and the roots lam_i (`roots_mod`).  Then v - lam_i is zero
-    on the i-th field and a unit on the others, so the i-th prime is
-    pO + (v - lam_i)O, whose HNF is read off the columns of M_v - lam_i
-    over F_p (`_span_hnf_modp`).  The outputs are checked to be g factors
-    of norm p^(n/g) and certified by `_finish_decomposition`: their product
-    is pO, so each factor, containing pO and of the residue degree every
-    prime above p has, is one prime.
+    Lemma: x -> x^p fixes exactly the copy of O_L/p = F_p^g in A, where L
+    is the decomposition field of p, ramified or not.  A is the product of
+    the local rings O/P^e over the g primes P above p, and in each x^p = x
+    holds only on F_p: a non-unit x = x^(p^k) is nilpotent, hence 0, and
+    a unit is a root of X^(p-1) - 1 = prod (X - a) over a in F_p^*, whose
+    factors differ by units.  L is the fixed field of the decomposition
+    group <sigma^g>, p splits completely in it, and O_L/p fills F_p^g.
 
-    v is taken as sum_i c^i v_i over the kernel's basis, for the first c
-    in `_SEPARATOR_BASES` that separates.  At p | disc, and at the few
-    small p where no such v has g distinct scalars (g > p forces that),
-    `_quotient_split_primes` decomposes p; it is also the Galois path's
-    oracle in the tests.  Independent of every closed-form decomposition,
-    and valid for every prime p.
+    The chain: for every h | n, e_1, ..., e_h span the integers fixed by
+    sigma^h (asserted in `IntegralOrder._build_integral_tables`).  So
+    e_1, ..., e_g span O_L and are fixed, no e_h with h | n, h > g is,
+    and g is the largest h | n with e_h^p = e_h, one p-th power per step.
+
+    The characters: each b in O_L is the scalar lam(b) on the factor of
+    the character lam, so the roots (`roots_mod`) of b's minimal
+    polynomial (Krylov on 1) are b's values.  e_g, ..., e_2 are walked in
+    that order: one b with g values gives the characters; otherwise the
+    eigenspaces of each b refine A into its g factors, which the basis of
+    O_L/p always separates.  No loop runs over F_p and nothing is guessed.
+
+    The primes: b - lam(b) is zero on lam's factor and a unit elsewhere,
+    so P^e = pO + sum (b - lam(b))O over the b's used, read off the
+    columns of M_b - lam(b) (`_span_hnf_modp`); for g = 1 it is pO.  At
+    p | disc, P = P^e + rad for the radical of A, the kernel of
+    x -> x^(p^k) once p^k >= n, so f = (n - dim rad)/g and e = n/(g*f).
+    The g factors of norm p^f are certified by `_finish_decomposition`,
+    so each is one prime (Neukirch, ANT, I.9; Cohen, GTM 138, sec. 6.2).
+    Independent of every closed-form decomposition; valid for every p.
     """
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
-    if field.disc % p:
-        dec = _galois_primes(field, p)
-        if dec is not None:
-            return dec
-    return _quotient_split_primes(field, p)
-
-
-# c in the candidate separating elements sum_i c^i v_i of `_galois_primes`
-_SEPARATOR_BASES = (2, 3, 5, 7, 11)
-
-
-def _artin_power(field, p):
-    """The k in [0, n) with x^p = sigma^k(x) on O/pO, for p not dividing disc.
-
-    Frobenius fixes 1 and commutes with sigma, so it is known from its
-    values on the gens of `sigma_orbit_basis`; so is each sigma^i, and two
-    ring maps that agree on the gens agree on O/pO.  One gen whose n
-    conjugates are distinct mod p settles k with one p-th power; when no
-    gen has that, the values of k that fit every gen are intersected.  As
-    the inertia group is trivial, exactly one k remains."""
-    n = field.n
-    gens = field.sigma_orbit_basis[0]
-    powers = field.sigma_powers
-    conjugates = {j: [tuple(x % p for x in powers[i][j]) for i in range(n)] for j in gens}
-    distinct = [j for j in gens if len(set(conjugates[j])) == n]
-    ks = set(range(n))
-    for j in distinct[:1] or gens:
-        image = _apow_modp(field, powers[0][j], p, p)
-        ks &= {i for i, conj in enumerate(conjugates[j]) if conj == image}
-    assert len(ks) == 1, "%s: no single Artin power at p=%d (candidates %s)" \
-        % (field.key, p, sorted(ks))
-    return ks.pop()
-
-
-def _galois_primes(field, p):
-    """The primes above p, for p not dividing disc, from the Artin symbol
-    (see `stable_subspace_primes`); None when no candidate element
-    separates the residue fields."""
     f = field
     n = f.n
-    g = math.gcd(_artin_power(f, p), n)
-    if g == 1:
-        return _finish_decomposition(f, p, [(principal_integer(f, p), 1)])
-    sg = f.sigma_powers[g % n]
-    fixed = _nullspace_modp([[(sg[j][i] - int(i == j)) % p for j in range(n)]
-                             for i in range(n)], p)
-    assert len(fixed) == g, "%s: fixed algebra of dimension %d at p=%d, not %d" \
-        % (f.key, len(fixed), p, g)
-    units = _unit_vectors(n)
-    for c in _SEPARATOR_BASES:
-        v = [sum(c ** t * b[i] for t, b in enumerate(fixed)) % p for i in range(n)]
-        mv = [tuple(x % p for x in f.imul(v, e)) for e in units]  # columns
-        mpoly = _min_poly_modp([list(row) for row in zip(*mv)], units[0], p)
-        if len(mpoly) == g:
+    units = _UNIT_VECTORS[n]
+    g = 1
+    for h in range(2, n + 1):
+        if n % h == 0:
+            if _apow_modp(f, units[h - 1], p, p) != units[h - 1]:
+                break
+            g = h
+    # (columns of M_b - lam(b) over the b's used, lam's factor of A)
+    pieces = [((), units)]
+    for b in units[g - 1:0:-1]:
+        if len(pieces) == g:
             break
-    else:
-        return None
-    factors = []
-    for lam in roots_mod(mpoly, p):
-        shifted = [tuple((x - lam * int(i == j)) % p for i, x in enumerate(col))
-                   for j, col in enumerate(mv)]
-        factors.append((IdealLattice(f, _span_hnf_modp(shifted, n, p)), 1))
-    assert len(factors) == g and all(P.norm == p ** (n // g) for P, _ in factors), \
-        "%s: Galois path at p=%d gave norms %s, not %d of %d" \
-        % (f.key, p, [P.norm for P, _ in factors], g, p ** (n // g))
-    return _finish_decomposition(f, p, factors)
+        mb = [tuple(x % p for x in f.imul(b, e)) for e in units]  # columns
+        mat = [list(row) for row in zip(*mb)]
+        lams = roots_mod(_min_poly_modp(mat, units[0], p), p)
 
+        def shifted(lam):
+            return tuple(tuple((x - lam * int(i == j)) % p for i, x in enumerate(col))
+                         for j, col in enumerate(mb))
 
-def _quotient_split_primes(field, p):
-    """Primes above any prime p by splitting the semisimple quotient of O/pO.
-
-    The radical of A = O/pO is the kernel of the p^e-power map (additive
-    in characteristic p), and the semisimple quotient B = A/rad is a product
-    of g residue fields, whose Frobenius-fixed elements form F_p^g.  A
-    fixed element fv acts on the i-th field as a scalar lam_i in F_p, so
-    its minimal polynomial, the first linear dependency among 1, fv, fv^2,
-    ... in B, is the product of x - lam over the distinct lam_i and splits
-    over F_p.  `roots_mod` finds those lam (equal-degree splitting,
-    Cantor-Zassenhaus; Cohen, GTM 138, sec. 3.4), and the eigenspaces of
-    multiplication by fv for them refine every component.  The fixed basis
-    elements separate all g fields, so at most g of them are used, and no
-    loop runs over F_p.  The prime for component i is the lattice
-    pZ^n + lift(the other components) + rad, whose HNF is read off an
-    echelon form over F_p (`_span_hnf_modp`) with no integer HNF.
-    Exponents follow from e*f*g = n, and the decomposition is certified
-    over F_p by `_finish_decomposition`.  Frobenius is raised to the p-th
-    power only on the gens of the field's `sigma_orbit_basis`.
-    """
-    f = field
-    n = f.n
-    rad, lift, dim_b, fixed, bmul_matrix, one_b = _semisimple_quotient(f, p)
-    g = len(fixed)
-    comps = [_unit_vectors(dim_b)]
-    for fv in fixed:
-        if len(comps) == g:
-            break
-        mfv = bmul_matrix(fv)
-        mpoly = _min_poly_modp(mfv, one_b, p)
-        if len(mpoly) < 2:  # fv is a scalar and separates nothing
-            continue
-        # exhaustive eigenspaces certify that fv is diagonal with these roots
-        comps = [piece for c in comps
-                 for piece in _eigenspaces_modp(mfv, c, roots_mod(mpoly, p), p)]
-    assert len(comps) == g and sum(len(c) for c in comps) == dim_b
-    fs = sorted(len(c) for c in comps)
-    assert fs[0] == fs[-1], "non-Galois splitting pattern"
-    factors = []
-    for i in range(g):
-        others = [lift(v) for j, c in enumerate(comps) if j != i for v in c]
-        factors.append(IdealLattice(f, _span_hnf_modp(others + rad, n, p)))
-    res_deg = len(comps[0])
+        if len(lams) == g:
+            pieces = [(shifted(lam), None) for lam in lams]
+        elif len(lams) > 1:
+            pieces = [(gens + shifted(lam), part) for gens, piece in pieces
+                      for lam, part in _eigenspaces_modp(mat, piece, lams, p)]
+    assert len(pieces) == g, "%s: %d characters at p=%d, not %d" % (f.key, len(pieces), p, g)
+    rad = []
+    if f.disc % p == 0:
+        frob = [list(row) for row in zip(*_frobenius_modp(f, p))]
+        e_pow = 1
+        while p ** e_pow < n:
+            e_pow += 1
+        rad = _nullspace_modp(_matpow_modp(frob, e_pow, p), p)
+    res_deg = (n - len(rad)) // g
     e_exp = n // (g * res_deg)
-    assert e_exp * g * res_deg == n, "incompatible splitting data"
-    return _finish_decomposition(f, p, [(P, e_exp) for P in factors])
+    assert e_exp * g * res_deg == n, "%s: incompatible splitting data at p=%d" % (f.key, p)
+    factors = [(IdealLattice(f, _span_hnf_modp(list(gens) + rad, n, p)), e_exp)
+               for gens, _ in pieces]
+    assert all(P.norm == p ** res_deg for P, _ in factors), \
+        "%s: norms %s at p=%d, not %d" % (f.key, [P.norm for P, _ in factors], p, p ** res_deg)
+    return _finish_decomposition(f, p, factors)
 
 
 def _restrict_modp(mat, comp, p):
@@ -859,8 +734,8 @@ def _restrict_modp(mat, comp, p):
 
 
 def _eigenspaces_modp(mat, comp, eigenvalues, p):
-    """The nonzero eigenspaces of `mat` on the span of `comp`, for the
-    given eigenvalues, which must exhaust it."""
+    """The nonzero eigenspaces of `mat` on the span of `comp`, as pairs
+    (eigenvalue, basis), for the given eigenvalues, which must exhaust it."""
     restricted = _restrict_modp(mat, comp, p)
     k = len(comp)
     pieces = []
@@ -871,8 +746,8 @@ def _eigenspaces_modp(mat, comp, eigenvalues, p):
                        for i in range(len(mat)))
                  for coeffs in _nullspace_modp(shifted, p)]
         if piece:
-            pieces.append(piece)
-    assert sum(len(piece) for piece in pieces) == k, \
+            pieces.append((lam, piece))
+    assert sum(len(piece) for _, piece in pieces) == k, \
         "multiplication is not diagonal with eigenvalues %s" % (eigenvalues,)
     return pieces
 

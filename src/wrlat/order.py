@@ -7,9 +7,11 @@ integral basis (gamma_1 = 1, ..., gamma_n):
     sigma_int         the matrix of the Galois generator,
     gram0             the Gram matrix of the embedding form, det = disc,
     sigma_orbit_basis a Z-basis of 1 and sigma-images of few basis vectors
-                      (computed on first use),
-    sigma_powers      the columns of sigma^0, ..., sigma^(n-1) (computed on
-                      first use).
+                      (computed on first use).
+
+The integral basis is adapted to the subfield chain, as the tables
+assert: for every h | n, gamma_1, ..., gamma_h span the integers fixed
+by sigma^h.  The splitting engine reads decomposition fields off it.
 
 `IntegralOrder` builds these tables from a subclass's element arithmetic
 and carries everything that depends only on n, the integral basis, `mul`,
@@ -52,6 +54,16 @@ class IntegralOrder:
         self.mul_table = tuple(tuple(self.to_integral_exact(self.mul(x, y)) for y in basis)
                                for x in basis)
         self.sigma_int = tuple(zip(*[self.to_integral_exact(self.sigma(g)) for g in basis]))
+        # adapted to the subfield chain: sigma^h fixes gamma_1..gamma_h and
+        # S^h - I has rank n - h, so those h vectors span the integers fixed by sigma^h
+        cols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        for h in range(1, n):
+            cols = [self.isigma(c) for c in cols]
+            if n % h == 0:
+                moved = [[x - int(i == j) for i, x in enumerate(c)] for j, c in enumerate(cols)]
+                assert not any(map(any, moved[:h])) and linalg.rank_int(moved) == n - h, \
+                    "%s: the integral basis is not adapted to the subfield fixed by " \
+                    "sigma^%d" % (self.key, h)
         # imul's inner loop: only the nonzero (k, w_k) of each gamma_i * gamma_j,
         # which keeps it as fast as a loop unrolled for one degree
         self._imul_terms = tuple(tuple(tuple((k, w) for k, w in enumerate(prod) if w)
@@ -180,17 +192,6 @@ class IntegralOrder:
                         inv = linalg.invert_fraction([list(row) for row in zip(*cols)])
                         return (gens, tuple(member for member, _ in chosen),
                                 tuple(tuple(int(x) for x in row) for row in inv))
-
-    @functools.cached_property
-    def sigma_powers(self):
-        """The matrices of sigma^0 = 1, sigma, ..., sigma^(n-1), each a tuple
-        of columns: sigma_powers[k][j] holds the integral coordinates of
-        sigma^k(gamma_{j+1}).  Computed once per field object."""
-        cols = tuple(tuple(int(i == j) for i in range(self.n)) for j in range(self.n))
-        powers = [cols]
-        for _ in range(self.n - 1):
-            powers.append(tuple(self.isigma(c) for c in powers[-1]))
-        return tuple(powers)
 
     def __eq__(self, other):
         return isinstance(other, IntegralOrder) and other.key == self.key

@@ -287,7 +287,14 @@ def cmd_scan(args) -> int:
                      % (summary["fields"], summary["records"],
                         summary["wr_records"], len(failures)))
         _write_output("\n".join(lines) + "\n", args.out)
+        _print_failures(failures)
     return 1 if failures else 0
+
+
+def _print_failures(failures):
+    # text mode's witnesses; JSON keeps them in its summary instead
+    for failure in failures:
+        print("error: %s: %s" % (failure["field_id"], failure["error"]), file=sys.stderr)
 
 
 def cmd_crosscheck(args) -> int:
@@ -355,6 +362,7 @@ def cmd_conjecture(args) -> int:
                   "discriminant" % (r["field_id"], r["ideal_norm"]))
         if not counterexamples:
             print("no counterexamples")
+        _print_failures(failures)
     return 1 if counterexamples or failures else 0
 
 
@@ -432,13 +440,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        try:
+            _apply_config_file(args)
+        except OSError as exc:
+            parser.error("cannot read config file %s: %s" % (args.config, exc.strerror))
         if getattr(args, "jobs", None) is None:
             args.jobs = 1
         if hasattr(args, "fields") and not args.fields:
             parser.error("--fields is required (flag or config file)")
-        if hasattr(args, "norm_bound") and args.norm_bound is None:
-            parser.error("--norm-bound is required (flag or config file)")
+        if hasattr(args, "norm_bound"):  # scan and conjecture
+            if args.norm_bound is None:
+                parser.error("--norm-bound is required (flag or config file)")
+            for flag, value in (("--norm-bound", args.norm_bound), ("--jobs", args.jobs)):
+                if not isinstance(value, int) or value < 1:
+                    parser.error("%s must be a positive integer, not %r" % (flag, value))
         return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -11,6 +11,7 @@ from wrlat.lattice_reduce import wr_report
 from wrlat.numtheory import (enumerate_conductors, factorize, is_quadratic_residue, primes_upto,
                              roots_mod)
 from wrlat.quartic_field import QuarticField
+from wrlat.survey_cli import parse_field_id
 from conftest import quartic_param_box
 
 
@@ -205,7 +206,6 @@ def test_cubic_decomposition_near_a_million(cubic7, p, shape):
     assert dec.shape == shape
     ref = il.stable_subspace_primes(cubic7, p)
     assert dec.factors == ref.factors and dec.shape == ref.shape
-    assert il._galois_primes(cubic7, p) == dec
 
 
 def test_quartic_decomposition_examples(quartic_even):
@@ -408,7 +408,7 @@ def test_fixed_element_eigenvalues_by_scan(cubic7, cubic91, quartic_even):
     for f, p in ((cubic7, 2), (cubic7, 3), (quartic_even, 2), (quartic_even, 3),
                  (QuarticField(1, 3, 2, 13), 3), (QuarticField(-1, 3, 2, 13), 3),
                  (QuarticField(1, 4, 1, 17), 2), (cubic91, 2)):
-        _, _, dim, fixed, bmul_matrix, one_b = il._semisimple_quotient(f, p)
+        _, _, dim, fixed, bmul_matrix, one_b = _semisimple_quotient(f, p)
         eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
         for fv in fixed:
             mfv = bmul_matrix(fv)
@@ -448,7 +448,6 @@ def test_quartic_engine_near_a_million(params, p):
     dec = il.decompose_prime(f, p)
     ref = il.stable_subspace_primes(f, p)
     assert ref.factors == dec.factors and ref.shape == dec.shape
-    assert il._galois_primes(f, p) == dec
     if p == 1000199:
         assert dec.shape == "P1*P2*P3*P4"
 
@@ -540,64 +539,149 @@ def test_frobenius_from_sigma_orbits(small_cubic_fields, small_quartic_fields):
                 assert frob[j] == power, (f.key, p, j)
 
 
+# -- the semisimple-quotient split: the engine's HNF oracle ---------------------
+
+def _semisimple_quotient(field, p):
+    """B = (O/pO)/rad over F_p, with the data the quotient split needs:
+    (rad, lift, dim_b, fixed, bmul_matrix, one_b).  rad spans the radical
+    in O/pO; lift maps B-coordinates to O/pO; fixed spans the
+    Frobenius-fixed elements of B (F_p^g); bmul_matrix(bv) is the matrix
+    of multiplication by bv on B; one_b is 1 in B-coordinates."""
+    f = field
+    n = f.n
+
+    def amul(u, v):
+        return tuple(x % p for x in f.imul(u, v))
+
+    frob_cols = il._frobenius_modp(f, p)
+    frob = [list(col) for col in zip(*frob_cols)]
+    e_pow = 1
+    while p ** e_pow < n:
+        e_pow += 1
+    rad = il._nullspace_modp(il._matpow_modp(frob, e_pow, p), p)
+    rad_rref, rad_pivots = il._rref_modp(rad, p)
+    free = [c for c in range(n) if c not in rad_pivots]
+
+    def project(u):
+        u = [x % p for x in u]
+        for row, pc in zip(rad_rref, rad_pivots):
+            if u[pc]:
+                fi = u[pc]
+                u = [(x - fi * y) % p for x, y in zip(u, row)]
+        return tuple(u[c] for c in free)
+
+    def lift(bv):
+        v = [0] * n
+        for c, x in zip(free, bv):
+            v[c] = x
+        return tuple(v)
+
+    dim_b = len(free)
+    b_units = [tuple(int(i == k) for i in range(dim_b)) for k in range(dim_b)]
+
+    def bmul_matrix(bv):
+        lifted = lift(bv)
+        cols = [project(amul(lifted, lift(e))) for e in b_units]
+        return [list(col) for col in zip(*cols)]
+
+    # lift(e_c) is the unit vector at free[c], whose p-th power in O/pO is
+    # column free[c] of frob
+    frob_b = [list(col) for col in zip(*[project(frob_cols[c]) for c in free])]
+    fixed = il._nullspace_modp(
+        [[(frob_b[i][j] - int(i == j)) % p for j in range(dim_b)]
+         for i in range(dim_b)], p)
+    one_b = project(tuple(int(i == 0) for i in range(n)))
+    return rad, lift, dim_b, fixed, bmul_matrix, one_b
+
+
+def _quotient_split_primes(field, p):
+    """Primes above p by splitting the semisimple quotient B of O/pO.
+
+    B is a product of g residue fields whose Frobenius-fixed elements form
+    F_p^g.  The eigenspaces of multiplication by those fixed elements split
+    B into its fields, and the prime for component i is
+    pZ^n + lift(the other components) + rad.  It shares the F_p kernels
+    with the engine but not its argument: no subfield chain, no characters
+    of O_L and no generators pO + (b - lam)O."""
+    f = field
+    n = f.n
+    rad, lift, dim_b, fixed, bmul_matrix, one_b = _semisimple_quotient(f, p)
+    g = len(fixed)
+    comps = [[tuple(int(i == k) for i in range(dim_b)) for k in range(dim_b)]]
+    for fv in fixed:
+        if len(comps) == g:
+            break
+        mfv = bmul_matrix(fv)
+        mpoly = il._min_poly_modp(mfv, one_b, p)
+        if len(mpoly) < 2:  # fv is a scalar and separates nothing
+            continue
+        comps = [piece for c in comps
+                 for _, piece in il._eigenspaces_modp(mfv, c, roots_mod(mpoly, p), p)]
+    assert len(comps) == g and sum(len(c) for c in comps) == dim_b
+    res_deg = len(comps[0])
+    assert all(len(c) == res_deg for c in comps), "non-Galois splitting pattern"
+    factors = []
+    for i in range(g):
+        others = [lift(v) for j, c in enumerate(comps) if j != i for v in c]
+        factors.append(il.IdealLattice(f, il._span_hnf_modp(others + rad, n, p)))
+    e_exp = n // (g * res_deg)
+    assert e_exp * g * res_deg == n, "incompatible splitting data"
+    return il._finish_decomposition(f, p, [(P, e_exp) for P in factors])
+
+
 @pytest.fixture(scope="module")
-def unramified_sweep_pairs():
-    """Every (field, p) with p <= 97 prime to disc, over quartic:box:5,40
-    and cubic:7..300."""
+def sweep_pairs():
+    """Every (field, p) with p <= 97 over quartic:box:5,40 and
+    cubic:7..300, the decompose-sweep benchmark's pairs."""
     fields = [QuarticField(*t) for t in quartic_param_box(5, 40)]
     fields += [CubicField(m) for m in enumerate_conductors(300) if m >= 7]
-    return [(f, p) for f in fields for p in primes_upto(97) if f.disc % p]
+    return [(f, p) for f in fields for p in primes_upto(97)]
 
 
-def test_galois_path_matches_quotient_split(unramified_sweep_pairs):
-    # the Artin-symbol path against the semisimple-quotient split, on every
-    # pair it decomposes; the pairs it leaves to the split are few and small
-    unseparated = []
-    for f, p in unramified_sweep_pairs:
-        dec = il._galois_primes(f, p)
-        if dec is None:
-            unseparated.append((f.key, p))
-            continue
-        ref = il._quotient_split_primes(f, p)
+def test_engine_matches_quotient_split(sweep_pairs):
+    # the one-path engine against the semisimple-quotient split, on every
+    # sweep pair, ramified ones included
+    ramified = more_primes_than_residues = 0
+    for f, p in sweep_pairs:
+        dec = il.stable_subspace_primes(f, p)
+        ref = _quotient_split_primes(f, p)
         assert dec.factors == ref.factors and dec.shape == ref.shape, (f.key, p)
-        assert not dec.is_ramified()
-    assert len(unramified_sweep_pairs) == 3042
-    assert len(unseparated) <= 44 and all(p <= 17 for _, p in unseparated), unseparated
+        assert dec.is_ramified() == (f.disc % p == 0), (f.key, p)
+        ramified += dec.is_ramified()
+        more_primes_than_residues += len(dec.factors) > p
+    assert len(sweep_pairs) == 3300 and ramified == 258
+    # no single element separates these primes; the characters do
+    assert more_primes_than_residues == 27
 
 
-def test_artin_power_is_frobenius(unramified_sweep_pairs):
-    # sigma^k, for the Artin power k, against x -> x^p column for column
-    for f, p in unramified_sweep_pairs:
-        k = il._artin_power(f, p)
-        sigma_k = [tuple(x % p for x in col) for col in f.sigma_powers[k]]
-        assert sigma_k == il._frobenius_modp(f, p), (f.key, p, k)
-
-
-@pytest.mark.parametrize("params,p", [((-3, 4, 1, 17), 2), ((1, 3, 1, 10), 3),
-                                      ((-1, 1, 1, 2), 7)])
-def test_unseparated_pairs_take_the_quotient_split(params, p):
-    # unramified, but no candidate element has g distinct residues
-    f = QuarticField(*params)
-    assert f.disc % p and il._galois_primes(f, p) is None
+@pytest.mark.parametrize("field,p", [("quartic:-3,4,1,17", 2), ("quartic:-1,1,3,10", 3),
+                                     ("cubic:31", 2)])
+def test_more_primes_than_residues(field, p):
+    # g > p: every element of O_L takes at most p values, so no one element
+    # tells the primes apart; several basis vectors of O_L together do
+    f = parse_field_id(field)
     dec = il.stable_subspace_primes(f, p)
-    assert dec == il._quotient_split_primes(f, p) == il.decompose_prime(f, p)
+    assert len(dec.factors) > p and f.disc % p and not dec.is_ramified()
+    assert dec == _quotient_split_primes(f, p) == il.decompose_prime(f, p)
 
 
-def test_ramified_primes_skip_the_galois_path(small_cubic_fields, small_quartic_fields,
-                                              monkeypatch):
-    def entered(field, p):
-        raise AssertionError("Galois path entered at %s p=%d" % (field.key, p))
-
-    monkeypatch.setattr(il, "_galois_primes", entered)
+def test_frobenius_fixes_exactly_the_decomposition_field(small_cubic_fields,
+                                                         small_quartic_fields):
+    # ker(F - I) = span(e_1, ..., e_g) over F_p, for the Frobenius matrix F
+    # and the number g of primes above p, ramified p included
     ramified = 0
     for f in small_cubic_fields + small_quartic_fields:
-        for p in factorize(abs(f.disc)).primes:
-            dec = il.stable_subspace_primes(f, p)
-            assert dec.is_ramified() and dec == il.decompose_prime(f, p), (f.key, p)
-            ramified += 1
+        n = f.n
+        for p in primes_upto(30):
+            g = len(il.stable_subspace_primes(f, p).factors)
+            frob = il._frobenius_modp(f, p)  # columns
+            fixed = il._nullspace_modp([[(frob[j][i] - int(i == j)) % p for j in range(n)]
+                                        for i in range(n)], p)
+            rref, pivots = il._rref_modp(fixed, p)
+            assert pivots == list(range(g)), (f.key, p, g)
+            assert rref == [[int(i == k) for i in range(n)] for k in range(g)], (f.key, p)
+            ramified += f.disc % p == 0
     assert ramified >= 20
-    with pytest.raises(AssertionError, match="Galois path entered"):
-        il.stable_subspace_primes(small_cubic_fields[0], 29)
 
 
 def test_decomposition_invariants_over_corpus():

@@ -7,6 +7,7 @@ import pytest
 
 from wrlat import linalg
 from wrlat.linalg import det_bareiss
+from wrlat.quartic_field import QuarticField
 
 
 def _random_coords(rng, n):
@@ -70,9 +71,32 @@ def test_sigma_orbit_basis_is_a_basis_of_orbit_members(family, request):
             v = tuple(int(i == j) for i in range(n))
             for _ in range(k):
                 v = f.isigma(v)
-            assert f.sigma_powers[k][j] == v
             cols.append(v)
         basis = [list(row) for row in zip(*cols)]
         assert linalg.mat_mul(basis, [list(row) for row in inverse]) == linalg.identity(n)
         assert f.sigma_orbit_basis is f.sigma_orbit_basis  # computed once
-        assert f.sigma_powers is f.sigma_powers
+
+
+@pytest.mark.parametrize("family", ["small_cubic_fields", "small_quartic_fields"])
+def test_integral_basis_is_adapted_to_the_subfield_chain(family, request, rng):
+    # for h | n, an integral element is fixed by sigma^h exactly when its
+    # coordinates past the first h vanish
+    for f in request.getfixturevalue(family):
+        n = f.n
+        for h in (h for h in range(1, n) if n % h == 0):
+            for _ in range(30):
+                u = _random_coords(rng, n)
+                for v in (u, u[:h] + (0,) * (n - h)):
+                    x = image = f.from_integral(v)
+                    for _ in range(h):
+                        image = f.sigma(image)
+                    assert (image == x) == (not any(v[h:])), (f.key, h, v)
+
+
+def test_unadapted_basis_is_rejected():
+    # swapping gamma_2 (in the quadratic subfield) with gamma_3 breaks the chain
+    f = QuarticField(1, 2, 1, 5)
+    basis = list(f.integral_basis)
+    basis[1], basis[2] = basis[2], basis[1]
+    with pytest.raises(AssertionError, match=r"quartic:1,2,1,5: .* sigma\^2"):
+        f._build_integral_tables(basis)

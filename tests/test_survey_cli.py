@@ -242,3 +242,76 @@ def test_missing_fields_flag_is_usage_error(capsys):
         cli.main(["scan", "--norm-bound", "5"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--fields", "cubic:7", "--norm-bound", "0"], "--norm-bound must be"),
+    (["conjecture", "--fields", "cubic:7", "--norm-bound", "-3"], "--norm-bound must be"),
+    (["scan", "--fields", "cubic:7", "--norm-bound", "10", "--jobs", "0"], "--jobs must be"),
+    (["conjecture", "--fields", "cubic:7", "--norm-bound", "10", "--jobs", "-1"],
+     "--jobs must be"),
+], ids=["scan-bound-0", "conjecture-bound-negative", "scan-jobs-0", "conjecture-jobs-negative"])
+def test_bad_bound_or_jobs_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bad_values_from_config_file_are_usage_errors(capsys, tmp_path):
+    for data, message in (({"norm_bound": 0}, "--norm-bound must be"),
+                          ({"norm_bound": 10, "jobs": 0}, "--jobs must be")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(data, fields="cubic:7")))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_missing_config_file_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "absent.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--config", str(missing)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file %s" % missing in err and "Traceback" not in err
+
+
+def _fail_on(monkeypatch, field_id):
+    scan = cli.scan_field
+
+    def scan_field(field, norm_bound):
+        if field.key == field_id:
+            raise RuntimeError("injected scan failure")
+        return scan(field, norm_bound)
+
+    monkeypatch.setattr(cli, "scan_field", scan_field)
+
+
+def test_text_mode_names_each_failed_field(capsys, monkeypatch):
+    _fail_on(monkeypatch, "cubic:9")
+    witness = "error: cubic:9: RuntimeError: injected scan failure"
+    code = cli.main(["scan", "--fields", "cubic:7;cubic:9", "--norm-bound", "10"])
+    captured = capsys.readouterr()
+    assert code == 1 and "failures=1" in captured.out
+    assert captured.err.splitlines() == [witness]
+    code = cli.main(["conjecture", "--fields", "cubic:7;cubic:9", "--norm-bound", "10"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err.splitlines() == [witness]
+
+
+def test_json_and_csv_keep_failures_off_stderr(capsys, monkeypatch):
+    # the JSON summary carries the witness, and stderr stays empty in both
+    # machine formats
+    _fail_on(monkeypatch, "cubic:9")
+    code = cli.main(["scan", "--fields", "cubic:7;cubic:9", "--norm-bound", "10", "--json"])
+    captured = capsys.readouterr()
+    _, records, summary = cli.parse_json(captured.out)
+    assert code == 1 and not captured.err and summary["failures"] == [
+        {"field_id": "cubic:9", "error": "RuntimeError: injected scan failure"}]
+    assert {r["field_id"] for r in records} == {"cubic:7"}
+    code = cli.main(["scan", "--fields", "cubic:7;cubic:9", "--norm-bound", "10", "--csv"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    assert {r["field_id"] for r in cli.parse_csv(captured.out)} == {"cubic:7"}
